@@ -4,7 +4,7 @@ GO ?= go
 
 # bench-json knobs: which benchmarks make up the recorded perf set, how
 # long to run each, and where the JSON lands.
-BENCH_SET  ?= SteadyStateAllocs|QueueChurn|PrepareCompleteContention|BatchedSpawn|AblationSchedulerSubstrate|AblationSegmentSize|AblationQueueVsChannel|AblationStealBatch|BoundVsUnbound|BoundedVsUnbounded|Reducer|HypermapVsLockedMap|Sharded
+BENCH_SET  ?= SteadyStateAllocs|QueueChurn|PrepareCompleteContention|BatchedSpawn|SpawnSyncOverhead|AblationSchedulerSubstrate|AblationSegmentSize|AblationQueueVsChannel|AblationStealBatch|BoundVsUnbound|BoundedVsUnbounded|Reducer|HypermapVsLockedMap|Sharded
 BENCH_TIME ?= 300ms
 BENCH_OUT  ?= BENCH_pr8.json
 
@@ -53,6 +53,9 @@ bench-json:
 	$(GO) run ./cmd/benchjson < $(BENCH_OUT).txt > $(BENCH_OUT)
 	@rm -f $(BENCH_OUT).txt
 	@echo "wrote $(BENCH_OUT)"
+	@# The spawn path's allocation budget (ci.yml has the same gate): a
+	@# spawn allocates at most its task record, and in steady state nothing.
+	jq -e '[.benchmarks[] | select(.name | test("^Benchmark(SpawnSyncOverhead$$|BatchedSpawn/)")) | .metrics["allocs/op"]] | length == 3 and all(. <= 1)' $(BENCH_OUT)
 
 # Serializability verifier: random programs against the serial elision,
 # under both scheduling substrates, plus the hyperqueue regression tests

@@ -5,21 +5,29 @@ import "repro/internal/sched"
 // Push returns the pushdep dependence on q: the spawned task may push
 // values. Pushers execute concurrently with each other and with the
 // consumer (§2.3 rules 1, 2, 4).
-func Push[T any](q *Queue[T]) sched.Dep { return queueDep[T]{q, ModePush} }
+func Push[T any](q *Queue[T]) sched.Dep { return &q.deps[ModePush-1] }
 
 // Pop returns the popdep dependence on q: the spawned task may pop values
 // and test Empty. Pop tasks on the same queue are serialized in program
 // order (§2.3 rule 3).
-func Pop[T any](q *Queue[T]) sched.Dep { return queueDep[T]{q, ModePop} }
+func Pop[T any](q *Queue[T]) sched.Dep { return &q.deps[ModePop-1] }
 
 // PushPop returns the pushpopdep dependence on q, combining both
 // privileges and both scheduling restrictions.
-func PushPop[T any](q *Queue[T]) sched.Dep { return queueDep[T]{q, ModePushPop} }
+func PushPop[T any](q *Queue[T]) sched.Dep { return &q.deps[ModePushPop-1] }
 
+// queueDep is one access mode of one queue. A queue holds its three
+// (Queue.deps) and Push/Pop/PushPop hand out pointers to them, so a
+// dependence is pointer-shaped and costs a spawn no allocation.
 type queueDep[T any] struct {
 	q    *Queue[T]
 	mode AccessMode
 }
+
+// Object implements sched.ObjectDep: the runtime refuses a spawn with two
+// dependences on one queue (use PushPop). The second view set would
+// shadow the first, which would never leave the sibling chain.
+func (d *queueDep[T]) Object() any { return d.q }
 
 // Prepare runs synchronously at spawn time in the parent, in program
 // order (§4.2, "Spawn with push/pop privileges"): it checks the privilege
@@ -28,11 +36,12 @@ type queueDep[T any] struct {
 // consumer-serialization ticket. Only the sibling chain and the producer
 // registry need q.regMu; the view handoff and the ticket touch
 // parent-goroutine-private state.
-func (d queueDep[T]) Prepare(parent, child *sched.Frame) {
+func (d *queueDep[T]) Prepare(parent, child *sched.Frame) {
 	q := d.q
 	pqv := q.mustViews(parent, d.mode) // subset rule: parent must hold every privilege it delegates
 
-	cqv := &qviews[T]{q: q, mode: d.mode, parentQV: pqv}
+	cqv := q.pool.getViews(q.pool.shard(parent.WorkerID()))
+	cqv.q, cqv.mode, cqv.parentQV = q, d.mode, pqv
 	cqv.vs.Frame = child
 
 	// The user view moves to the child: for pushers so they extend the
@@ -58,7 +67,7 @@ func (d queueDep[T]) Prepare(parent, child *sched.Frame) {
 	q.unlockReg()
 
 	child.SetAttachment(queueKey[T]{q}, cqv)
-	child.AddSyncHook(func() { q.syncHook(cqv) })
+	child.AddSyncHook(cqv)
 }
 
 // Wait gates the child before it takes a worker slot: pop-privileged
@@ -67,7 +76,7 @@ func (d queueDep[T]) Prepare(parent, child *sched.Frame) {
 // queue wakes the gate; the child then unwinds instead of starting its
 // body (the substrate absorbs the unwind and still runs the completion
 // protocol, so the ticket this child holds is served for its siblings).
-func (d queueDep[T]) Wait(child *sched.Frame) {
+func (d *queueDep[T]) Wait(child *sched.Frame) {
 	if d.mode&ModePop == 0 {
 		return
 	}
@@ -101,7 +110,7 @@ func (d queueDep[T]) Wait(child *sched.Frame) {
 // always ready, and a pop-privileged task is ready once its consumer
 // ticket has been served. popServed only advances, so readiness is
 // stable, as the contract requires. The probe is a single atomic load.
-func (d queueDep[T]) Ready(child *sched.Frame) bool {
+func (d *queueDep[T]) Ready(child *sched.Frame) bool {
 	if d.mode&ModePop == 0 {
 		return true
 	}
@@ -122,7 +131,7 @@ func (d queueDep[T]) Ready(child *sched.Frame) bool {
 // requires consMu (which proves the parked consumer cannot concurrently
 // touch the queue view) and regMu nested inside it, so the registry
 // lock is released first — regMu is never held while taking consMu.
-func (d queueDep[T]) Complete(parent, child *sched.Frame) {
+func (d *queueDep[T]) Complete(parent, child *sched.Frame) {
 	q := d.q
 	cqv := q.viewsOf(child)
 
@@ -154,4 +163,10 @@ func (d queueDep[T]) Complete(parent, child *sched.Frame) {
 	}
 	q.wakeLocked()
 	q.consMu.Unlock()
+
+	// Retire has unlinked the view set from the sibling chain, the child's
+	// own children retired theirs before its implicit sync returned, and
+	// the consumer-side state (q.parked) only ever names a task inside
+	// its own wait: nothing references cqv any more.
+	q.pool.putViews(q.pool.shard(child.WorkerID()), cqv)
 }

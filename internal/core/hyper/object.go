@@ -49,7 +49,7 @@ type Obj[V any, O Ops[V]] struct {
 	eng   Engine[V, O]
 	kind  string
 	name  string
-	owner ViewSet[V]
+	owner objViews[V, O]
 	views atomic.Uint64
 }
 
@@ -62,18 +62,33 @@ func (o *Obj[V, O]) Init(f *sched.Frame, kind, name string, ops O) {
 	o.kind, o.name = kind, name
 	o.owner.Frame = f
 	o.views.Store(1)
+	o.owner.o = o
 	f.SetAttachment(objKey{o}, &o.owner)
-	f.AddSyncHook(func() {
-		o.mu.Lock()
-		o.eng.SyncFold(&o.owner)
-		o.mu.Unlock()
-	})
+	f.AddSyncHook(&o.owner)
+}
+
+// objViews is one task's view set on an Obj, tied to the object so that
+// it can serve as the task's sync hook.
+type objViews[V any, O Ops[V]] struct {
+	ViewSet[V]
+	o *Obj[V, O]
+}
+
+// OnSync implements sched.SyncHook: completed children's deposits fold
+// into the task's user view at every sync.
+func (ov *objViews[V, O]) OnSync() {
+	ov.o.mu.Lock()
+	ov.o.eng.SyncFold(&ov.ViewSet)
+	ov.o.mu.Unlock()
 }
 
 // ViewsOf returns the view set frame f holds on the object, or nil.
 func (o *Obj[V, O]) ViewsOf(f *sched.Frame) *ViewSet[V] {
-	vs, _ := f.Attachment(objKey{o}).(*ViewSet[V])
-	return vs
+	ov, _ := f.Attachment(objKey{o}).(*objViews[V, O])
+	if ov == nil {
+		return nil
+	}
+	return &ov.ViewSet
 }
 
 // MustViews is ViewsOf, panicking when f holds no view on the object.
@@ -116,17 +131,15 @@ type objDep[V any, O Ops[V]] struct {
 func (d objDep[V, O]) Prepare(parent, child *sched.Frame) {
 	o := d.o
 	pvs := o.MustViews(parent) // subset rule: the parent must itself hold a view to delegate one
-	cvs := &ViewSet[V]{Frame: child}
+	cov := &objViews[V, O]{o: o}
+	cvs := &cov.ViewSet
+	cvs.Frame = child
 	o.eng.HandOff(pvs, cvs)
 	o.mu.Lock()
 	o.eng.Link(pvs, cvs)
 	o.mu.Unlock()
-	child.SetAttachment(objKey{o}, cvs)
-	child.AddSyncHook(func() {
-		o.mu.Lock()
-		o.eng.SyncFold(cvs)
-		o.mu.Unlock()
-	})
+	child.SetAttachment(objKey{o}, cov)
+	child.AddSyncHook(cov)
 	o.views.Add(1)
 }
 

@@ -63,8 +63,43 @@ type Hypermap[K comparable, V any] struct {
 	claims sync.Map // K -> *hyperclaim
 }
 
+// hyperclaim identifies a claimant by its frame's label rather than the
+// frame: claims are compared long after the claiming task has returned
+// and its frame record has moved on to another task. One claim serves
+// every Put of a bound handle.
 type hyperclaim struct {
-	frame *sched.Frame
+	label []int32
+}
+
+// labelOrder is where one frame label sits relative to another in the
+// serial elision.
+type labelOrder int
+
+const (
+	labelSame       labelOrder = iota
+	labelAncestor              // a is a proper ancestor of b
+	labelDescendant            // a is a proper descendant of b
+	labelBefore                // a precedes b, neither contains the other
+	labelAfter                 // a follows b, neither contains the other
+)
+
+// cmpLabels places label a relative to label b.
+func cmpLabels(a, b []int32) labelOrder {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			if a[i] < b[i] {
+				return labelBefore
+			}
+			return labelAfter
+		}
+	}
+	switch {
+	case len(a) < len(b):
+		return labelAncestor
+	case len(a) > len(b):
+		return labelDescendant
+	}
+	return labelSame
 }
 
 // NewHypermap creates a hypermap owned by frame f. The owner holds a
@@ -92,14 +127,15 @@ func MapWrite[K comparable, V any](m *Hypermap[K, V]) sched.Dep { return m.obj.D
 // goroutine running the body of the frame it was bound to, and must not
 // outlive that body.
 type MapHandle[K comparable, V any] struct {
-	vs *hyper.ViewSet[hview[K, V]]
-	hm *Hypermap[K, V]
+	vs    *hyper.ViewSet[hview[K, V]]
+	hm    *Hypermap[K, V]
+	claim *hyperclaim
 }
 
 // BindMap resolves frame f's view on m once and returns the bound
 // handle. It panics if f holds no view (spawn the task with MapWrite).
 func (m *Hypermap[K, V]) BindMap(f *sched.Frame) MapHandle[K, V] {
-	return MapHandle[K, V]{vs: m.obj.MustViews(f), hm: m}
+	return MapHandle[K, V]{vs: m.obj.MustViews(f), hm: m, claim: &hyperclaim{label: f.Label()}}
 }
 
 // Put records k → v in the task's private view if the view does not
@@ -118,28 +154,26 @@ func (h MapHandle[K, V]) Put(k K, v V) (dup bool) {
 		return true
 	}
 	u.m[k] = v
-	f := h.vs.Frame
-	got, loaded := h.hm.claims.LoadOrStore(k, &hyperclaim{frame: f})
+	got, loaded := h.hm.claims.LoadOrStore(k, h.claim)
 	if !loaded {
 		return false
 	}
-	cl := got.(*hyperclaim).frame
 	// The claim proves an earlier occurrence iff the claimant's whole
-	// body precedes f in the serial elision: f's own earlier put (the
-	// private view lost it to a spawn hand-off), a descendant spawned
-	// before this point, or a non-ancestor task ordered before f. An
-	// *ancestor's* claim proves nothing — the ancestor may have put the
-	// key after spawning f, which in the serial elision runs after f's
-	// entire body (the same label logic as the queue's
+	// body precedes this task (f) in the serial elision: f's own earlier
+	// put (the private view lost it to a spawn hand-off), a descendant
+	// spawned before this point, or a non-ancestor task ordered before f.
+	// An *ancestor's* claim proves nothing — the ancestor may have put
+	// the key after spawning f, which in the serial elision runs after
+	// f's entire body (the same label logic as the queue's
 	// visibleProducerLive).
-	if cl == f || f.IsAncestorOf(cl) || (cl.Before(f) && !cl.IsAncestorOf(f)) {
+	switch cmpLabels(got.(*hyperclaim).label, h.claim.label) {
+	case labelSame, labelDescendant, labelBefore:
 		return true
-	}
-	// Improve the claim for future probes when f is provably earlier
-	// than the current claimant. Best-effort: claims are advisory, and
-	// losing this race only costs precision, never soundness.
-	if f.Before(cl) {
-		h.hm.claims.CompareAndSwap(k, got, &hyperclaim{frame: f})
+	case labelAfter:
+		// Improve the claim for future probes: f is provably earlier than
+		// the current claimant. Best-effort: claims are advisory, and
+		// losing this race only costs precision, never soundness.
+		h.hm.claims.CompareAndSwap(k, got, h.claim)
 	}
 	return false
 }

@@ -72,9 +72,13 @@ func TestRegressionRecycleVsBlockedBoundedProducer(t *testing.T) {
 	}
 }
 
-// churn runs one producer/consumer pipeline cycle on rt, recycling the
-// queue between the two bursts, and fails the test on any wrong value.
-func churn(t *testing.T, rt *swan.Runtime, tag string) {
+// churn runs one producer/consumer pipeline cycle on rt — two bursts of
+// values through one queue, recycled in between — and fails the test on
+// any wrong value. With ahead set the producer finishes each burst before
+// the consumer starts popping, so the chain grows to the burst's full
+// length: the pool's worst case for that burst size, whatever the
+// schedule.
+func churn(t *testing.T, rt *swan.Runtime, tag string, values int, ahead bool) {
 	t.Helper()
 	rt.Run(func(f *swan.Frame) {
 		q := swan.NewQueueWithCapacity[int](f, 8)
@@ -82,11 +86,14 @@ func churn(t *testing.T, rt *swan.Runtime, tag string) {
 			base := round * 1000
 			f.Spawn(func(c *swan.Frame) {
 				pu := q.BindPush(c)
-				for v := 0; v < 500; v++ {
+				for v := 0; v < values; v++ {
 					pu.Push(base + v)
 				}
 			}, swan.Push(q))
-			for v := 0; v < 500; v++ {
+			if ahead {
+				f.Sync()
+			}
+			for v := 0; v < values; v++ {
 				if got := q.Pop(f); got != base+v {
 					t.Errorf("%s: round %d pop %d = %d, want %d", tag, round, v, got, base+v)
 					return
@@ -103,7 +110,12 @@ func churn(t *testing.T, rt *swan.Runtime, tag string) {
 // rebuilt runtime must observe the same provider (recycling gauges
 // continue, the pool audit balance spans the switch) and its warm pool
 // must serve the same churn with no more fresh allocations than the
-// first runtime needed.
+// first runtime needed. How many segments a churn needs depends on how
+// far its producer gets ahead of its consumer, so the first runtime's
+// churn is made the worst case — producer fully ahead, and a few
+// segments longer than the second's — which leaves the carried pool
+// holding more than the second churn can need under any schedule: the
+// rebuilt runtime must allocate nothing at all.
 func TestRegressionPolicySwitchMidChurn(t *testing.T) {
 	pairs := [][2]swan.SpawnPolicy{
 		{swan.PolicySteal, swan.PolicyGoroutine},
@@ -114,8 +126,13 @@ func TestRegressionPolicySwitchMidChurn(t *testing.T) {
 			rtA := swan.NewWithPolicy(4, pair[0])
 			prov := core.ProviderOf(rtA)
 			allocs0 := prov.SegmentAllocs()
-			churn(t, rtA, "before switch")
+			const values, slack = 500, 4 * 8 // the second churn's burst; four segments more for the first
+			churn(t, rtA, "before switch", values+slack, true)
 			allocsA := prov.SegmentAllocs() - allocs0
+			if allocsA < (values+slack)/8 {
+				t.Fatalf("first runtime allocated %d fresh segments, want a full chain of at least %d",
+					allocsA, (values+slack)/8)
+			}
 			recycledA := prov.RecycledQueues()
 
 			rtB := swan.NewWithPolicy(4, pair[1])
@@ -125,10 +142,10 @@ func TestRegressionPolicySwitchMidChurn(t *testing.T) {
 			if got := core.ProviderOf(rtB); got != prov {
 				t.Fatalf("rebuilt runtime resolved a different provider: %p vs %p", got, prov)
 			}
-			churn(t, rtB, "after switch")
+			churn(t, rtB, "after switch", values, false)
 			allocsB := prov.SegmentAllocs() - allocs0 - allocsA
-			if allocsB > allocsA {
-				t.Errorf("rebuilt runtime allocated %d fresh segments, first runtime only %d — pool not carried",
+			if allocsB != 0 {
+				t.Errorf("rebuilt runtime allocated %d fresh segments with %d pooled by the first — pool not carried",
 					allocsB, allocsA)
 			}
 			if got := prov.RecycledQueues(); got != recycledA+2 {

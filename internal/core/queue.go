@@ -136,6 +136,10 @@ type Queue[T any] struct {
 
 	owner   *sched.Frame
 	ownerQV *qviews[T]
+
+	// deps are the queue's three dependences, indexed by AccessMode-1;
+	// Push, Pop and PushPop return pointers into the array (deps.go).
+	deps [3]queueDep[T]
 }
 
 // qviews is the per-(task, queue) view set of §4: the substrate's
@@ -171,7 +175,15 @@ type qviews[T any] struct {
 	popTickets atomic.Int64
 	popServed  atomic.Int64
 	popTicket  int64 // this task's ticket within parentQV
+
+	// scratch holds the head-only half of a fresh segment's split between
+	// attachFreshSegment taking it and the predecessor fold consuming it
+	// (under regMu); ε otherwise.
+	scratch view[T]
 }
+
+// OnSync implements sched.SyncHook: the view set is its own sync hook.
+func (qv *qviews[T]) OnSync() { qv.q.syncHook(qv) }
 
 type queueKey[T any] struct{ q *Queue[T] }
 
@@ -225,8 +237,11 @@ func newQueue[T any](f *sched.Frame, segCap int, legacy bool, opts ...QueueOptio
 	q.nlctr++
 	q.headView, qv.vs.User = split(s0, q.nlctr)
 	q.ownerQV = qv
+	for m := ModePush; m <= ModePushPop; m++ {
+		q.deps[m-1] = queueDep[T]{q, m}
+	}
 	f.SetAttachment(queueKey[T]{q}, qv)
-	f.AddSyncHook(func() { q.syncHook(qv) })
+	f.AddSyncHook(qv)
 	return q
 }
 
@@ -280,9 +295,14 @@ func (q *Queue[T]) unlockRegNested() {
 	}
 }
 
-// viewsOf returns the view set frame f holds on q, or nil.
+// viewsOf returns the view set frame f holds on q, or nil. A view set
+// that no longer names q has been retired with its task (putViews): the
+// caller reached it through a frame it kept past the task's return.
 func (q *Queue[T]) viewsOf(f *sched.Frame) *qviews[T] {
 	v, _ := f.Attachment(queueKey[T]{q}).(*qviews[T])
+	if v != nil && v.q != q {
+		panic("hyperqueue: frame used after its task returned")
+	}
 	return v
 }
 
@@ -331,9 +351,8 @@ func (q *Queue[T]) attachFreshSegment(qv *qviews[T]) {
 	q.lockReg()
 	defer q.unlockReg()
 	q.nlctr++
-	tmp, user := split(snew, q.nlctr)
-	qv.vs.User = user
-	q.eng.ShareToPredecessor(&qv.vs, &tmp)
+	qv.scratch, qv.vs.User = split(snew, q.nlctr)
+	q.eng.ShareToPredecessor(&qv.vs, &qv.scratch)
 }
 
 // wakeConsumer wakes a consumer blocked in Empty or Pop, if any. On the

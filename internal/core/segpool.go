@@ -313,6 +313,9 @@ const (
 	// segments.
 	segShardSlots    = 8
 	segOverflowSlots = 64
+	// viewShardSlots bounds each shard's cache of retired view sets, as
+	// taskCacheCap bounds a scheduler worker's cache of task records.
+	viewShardSlots = 256
 	// maxSegShards caps the shard array on very wide machines; beyond
 	// this, workers share shards by id hash, which only costs some mutex
 	// sharing on a path taken once per segCap values.
@@ -323,6 +326,11 @@ type segPoolShard[T any] struct {
 	mu   sync.Mutex
 	n    int
 	free [segShardSlots]*segment[T]
+	// views caches retired per-task view sets next to the segments, under
+	// the same lock: a spawn with a queue dependence takes one in Prepare
+	// and the task's Complete returns it (getViews/putViews).
+	nviews int
+	views  [viewShardSlots]*qviews[T]
 	// Pad each shard to its own cache-line neighborhood so per-worker
 	// lists do not false-share.
 	_ [64]byte
@@ -417,6 +425,38 @@ func (p *segPool[T]) put(sid int, s *segment[T]) {
 	}
 	p.overflowMu.Unlock()
 	p.noteDrop()
+}
+
+// getViews returns a zeroed view set, recycled from the sid shard when it
+// has one. Unlike segments, view sets are not counted or searched for in
+// other shards: a miss costs one small allocation.
+func (p *segPool[T]) getViews(sid int) *qviews[T] {
+	sh := &p.shards[sid]
+	sh.mu.Lock()
+	if sh.nviews > 0 {
+		sh.nviews--
+		qv := sh.views[sh.nviews]
+		sh.views[sh.nviews] = nil
+		sh.mu.Unlock()
+		return qv
+	}
+	sh.mu.Unlock()
+	return new(qviews[T])
+}
+
+// putViews recycles the view set of a completed task into the sid shard,
+// or drops it when the shard is full. The caller must hold the last
+// reference (see queueDep.Complete). The set is zeroed here, not in
+// getViews, so that a stale holder finds no queue and no views in it.
+func (p *segPool[T]) putViews(sid int, qv *qviews[T]) {
+	*qv = qviews[T]{}
+	sh := &p.shards[sid]
+	sh.mu.Lock()
+	if sh.nviews < viewShardSlots {
+		sh.views[sh.nviews] = qv
+		sh.nviews++
+	}
+	sh.mu.Unlock()
 }
 
 // noteDrop records a segment released to the garbage collector instead

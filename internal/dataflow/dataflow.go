@@ -30,6 +30,11 @@ type Versioned[T any] struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	cur  *generation[T]
+
+	// deps are the object's three dependences, indexed by mode; In, Out
+	// and InOut return pointers into the array, so a dependence is
+	// pointer-shaped and costs a spawn no allocation.
+	deps [3]dep[T]
 }
 
 // generation is one renamed version of the object's storage.
@@ -63,20 +68,23 @@ func NewVersioned[T any](initial T) *Versioned[T] {
 	v.cond = sync.NewCond(&v.mu)
 	val := initial
 	v.cur = &generation[T]{val: &val, writerDone: true}
+	for m := modeIn; m <= modeInOut; m++ {
+		v.deps[m] = dep[T]{v, m}
+	}
 	return v
 }
 
 // In returns the indep dependence: the spawned task reads v.
-func In[T any](v *Versioned[T]) sched.Dep { return dep[T]{v, modeIn} }
+func In[T any](v *Versioned[T]) sched.Dep { return &v.deps[modeIn] }
 
 // Out returns the outdep dependence: the spawned task overwrites v and
 // receives a fresh renamed version.
-func Out[T any](v *Versioned[T]) sched.Dep { return dep[T]{v, modeOut} }
+func Out[T any](v *Versioned[T]) sched.Dep { return &v.deps[modeOut] }
 
 // InOut returns the inoutdep dependence: the spawned task reads and
 // writes v in place, serialized after the previous version's writer and
 // readers.
-func InOut[T any](v *Versioned[T]) sched.Dep { return dep[T]{v, modeInOut} }
+func InOut[T any](v *Versioned[T]) sched.Dep { return &v.deps[modeInOut] }
 
 type dep[T any] struct {
 	v *Versioned[T]
@@ -85,7 +93,7 @@ type dep[T any] struct {
 
 // Prepare runs at spawn time in program order: it binds the child to the
 // version it will access and performs renaming for writers.
-func (d dep[T]) Prepare(parent, child *sched.Frame) {
+func (d *dep[T]) Prepare(parent, child *sched.Frame) {
 	v := d.v
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -108,7 +116,7 @@ func (d dep[T]) Prepare(parent, child *sched.Frame) {
 }
 
 // Wait gates the child until its version is accessible.
-func (d dep[T]) Wait(child *sched.Frame) {
+func (d *dep[T]) Wait(child *sched.Frame) {
 	v := d.v
 	b := child.Attachment(objKey[T]{v}).(*binding[T])
 	v.mu.Lock()
@@ -131,7 +139,7 @@ func (d dep[T]) Wait(child *sched.Frame) {
 // as the contract requires: writerDone only flips to true, and a
 // superseded generation's reader count only decreases (Prepare binds new
 // readers to the current generation, never to a superseded one).
-func (d dep[T]) Ready(child *sched.Frame) bool {
+func (d *dep[T]) Ready(child *sched.Frame) bool {
 	v := d.v
 	b := child.Attachment(objKey[T]{v}).(*binding[T])
 	v.mu.Lock()
@@ -146,7 +154,7 @@ func (d dep[T]) Ready(child *sched.Frame) bool {
 }
 
 // Complete releases the child's claim on its version.
-func (d dep[T]) Complete(parent, child *sched.Frame) {
+func (d *dep[T]) Complete(parent, child *sched.Frame) {
 	v := d.v
 	b := child.Attachment(objKey[T]{v}).(*binding[T])
 	v.mu.Lock()

@@ -19,9 +19,14 @@ package deque
 
 import "sync/atomic"
 
-// D is a work-stealing deque of values of type T. Values are stored as
-// pointers internally to keep the circular-array swap safe under
-// concurrent steals. The zero value is not usable; call New.
+// D is a work-stealing deque of *T. The ring stores pointers (which keeps
+// the circular-array swap safe under concurrent steals), and the pointer
+// methods — PushPtr, PopPtr, StealPtr and the batch forms — move exactly
+// the pointer the caller handed in: the scheduler pushes records it
+// already owns and pays no allocation per task. Push, Pop and Steal are
+// the by-value convenience forms; Push boxes its argument. A thief never
+// dereferences a pointer it failed to claim, so the owner may recycle a
+// popped record immediately. The zero value is not usable; call New.
 type D[T any] struct {
 	top    atomic.Int64 // next slot to steal from
 	bottom atomic.Int64 // next slot to push to
@@ -65,8 +70,32 @@ func New[T any](capacity int) *D[T] {
 	return d
 }
 
-// Push adds v at the bottom of the deque. Only the owner may call Push.
-func (d *D[T]) Push(v T) {
+// Push adds a copy of v at the bottom of the deque. Only the owner may
+// call Push.
+func (d *D[T]) Push(v T) { d.PushPtr(&v) }
+
+// Pop removes and returns the most recently pushed value (LIFO). Only the
+// owner may call Pop. ok is false if the deque was empty.
+func (d *D[T]) Pop() (v T, ok bool) {
+	if p := d.PopPtr(); p != nil {
+		return *p, true
+	}
+	return v, false
+}
+
+// Steal removes and returns the oldest value (FIFO). Any goroutine may
+// call Steal. ok is false if the deque was empty or the steal lost a race
+// (callers typically retry elsewhere).
+func (d *D[T]) Steal() (v T, ok bool) {
+	if p := d.StealPtr(); p != nil {
+		return *p, true
+	}
+	return v, false
+}
+
+// PushPtr adds p, which must not be nil, at the bottom of the deque. Only
+// the owner may call PushPtr.
+func (d *D[T]) PushPtr(p *T) {
 	b := d.bottom.Load()
 	t := d.top.Load()
 	a := d.array.Load()
@@ -74,18 +103,18 @@ func (d *D[T]) Push(v T) {
 		a = a.grow(t, b)
 		d.array.Store(a)
 	}
-	a.put(b, &v)
+	a.put(b, p)
 	d.bottom.Store(b + 1)
 }
 
-// PushBatch adds all of vs at the bottom of the deque, publishing them
-// with a single bottom store: thieves either see none of the batch or a
-// prefix-complete view of it, and the owner pays one release-store for k
-// tasks instead of k. Only the owner may call PushBatch. The scheduler
-// uses it for loop-split spawning (Frame.SpawnN), where a stage publishes
-// a whole wave of tasks at once.
-func (d *D[T]) PushBatch(vs []T) {
-	n := int64(len(vs))
+// PushBatch adds all of ps (none nil) at the bottom of the deque,
+// publishing them with a single bottom store: thieves either see none of
+// the batch or a prefix-complete view of it, and the owner pays one
+// release-store for k tasks instead of k. Only the owner may call
+// PushBatch. The scheduler uses it for loop-split spawning
+// (Frame.SpawnN), where a stage publishes a whole wave of tasks at once.
+func (d *D[T]) PushBatch(ps []*T) {
+	n := int64(len(ps))
 	if n == 0 {
 		return
 	}
@@ -98,16 +127,15 @@ func (d *D[T]) PushBatch(vs []T) {
 		}
 		d.array.Store(a)
 	}
-	for i := int64(0); i < n; i++ {
-		v := vs[i]
-		a.put(b+i, &v)
+	for i, p := range ps {
+		a.put(b+int64(i), p)
 	}
 	d.bottom.Store(b + n)
 }
 
-// Pop removes and returns the most recently pushed value (LIFO). Only the
-// owner may call Pop. ok is false if the deque was empty.
-func (d *D[T]) Pop() (v T, ok bool) {
+// PopPtr removes and returns the most recently pushed pointer (LIFO), or
+// nil if the deque was empty. Only the owner may call PopPtr.
+func (d *D[T]) PopPtr() *T {
 	b := d.bottom.Load() - 1
 	a := d.array.Load()
 	d.bottom.Store(b)
@@ -115,42 +143,39 @@ func (d *D[T]) Pop() (v T, ok bool) {
 	if t > b {
 		// Deque was empty; restore bottom.
 		d.bottom.Store(b + 1)
-		return v, false
+		return nil
 	}
 	p := a.get(b)
 	if t == b {
 		// Single element left: race with thieves for it.
 		if !d.top.CompareAndSwap(t, t+1) {
-			// A thief got it first.
-			d.bottom.Store(b + 1)
-			return v, false
+			p = nil // a thief got it first
 		}
 		d.bottom.Store(b + 1)
-		return *p, true
 	}
-	return *p, true
+	return p
 }
 
-// Steal removes and returns the oldest value (FIFO). Any goroutine may
-// call Steal. ok is false if the deque was empty or the steal lost a race
-// (callers typically retry elsewhere).
-func (d *D[T]) Steal() (v T, ok bool) {
+// StealPtr removes and returns the oldest pointer (FIFO), or nil if the
+// deque was empty or the steal lost a race (callers typically retry
+// elsewhere). Any goroutine may call StealPtr.
+func (d *D[T]) StealPtr() *T {
 	t := d.top.Load()
 	b := d.bottom.Load()
 	if t >= b {
-		return v, false
+		return nil
 	}
 	a := d.array.Load()
 	p := a.get(t)
 	if !d.top.CompareAndSwap(t, t+1) {
-		return v, false
+		return nil
 	}
-	return *p, true
+	return p
 }
 
 // StealBatch steals up to half of the victim's visible run (and at most
-// len(buf) values) from the top, oldest first, returning how many values
-// were written into buf. Any goroutine may call StealBatch. A return of 0
+// len(buf) pointers) from the top, oldest first, returning how many were
+// written into buf. Any goroutine may call StealBatch. A return of 0
 // means the deque looked empty or the first claim lost a race.
 //
 // The batch is claimed one CAS per element, not one CAS for the whole
@@ -161,7 +186,7 @@ func (d *D[T]) Steal() (v T, ok bool) {
 // keeps every claim identical to the proven single Steal linearization;
 // the batch win is fewer victim scans and park/wake cycles per stolen
 // task, plus a run of local work for the thief — not fewer CASes.
-func (d *D[T]) StealBatch(buf []T) int {
+func (d *D[T]) StealBatch(buf []*T) int {
 	t := d.top.Load()
 	b := d.bottom.Load()
 	n := b - t
@@ -183,7 +208,7 @@ func (d *D[T]) StealBatch(buf []T) int {
 		if !d.top.CompareAndSwap(t, t+1) {
 			break // lost a race; keep what we have
 		}
-		buf[got] = *p
+		buf[got] = p
 		got++
 	}
 	return got

@@ -42,9 +42,11 @@ func TestStealFIFO(t *testing.T) {
 func TestPushBatchOrder(t *testing.T) {
 	d := New[int](8)
 	d.Push(-1)
-	batch := make([]int, 100)
-	for i := range batch {
-		batch[i] = i
+	vals := make([]int, 100)
+	batch := make([]*int, len(vals))
+	for i := range vals {
+		vals[i] = i
+		batch[i] = &vals[i]
 	}
 	d.PushBatch(batch) // forces grows mid-batch
 	d.PushBatch(nil)   // empty batch is a no-op
@@ -100,10 +102,12 @@ func TestPushBatchConcurrentSteals(t *testing.T) {
 			}
 		}()
 	}
-	batch := make([]int, per)
+	vals := make([]int, batches*per)
+	batch := make([]*int, per)
 	for b := 0; b < batches; b++ {
 		for i := range batch {
-			batch[i] = b*per + i
+			vals[b*per+i] = b*per + i
+			batch[i] = &vals[b*per+i]
 		}
 		d.PushBatch(batch)
 	}
@@ -286,14 +290,14 @@ func TestStealBatchTakesHalfOldestFirst(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		d.Push(i)
 	}
-	buf := make([]int, 16)
+	buf := make([]*int, 16)
 	// Half of 10 rounded up is 5, oldest first.
 	if got := d.StealBatch(buf); got != 5 {
 		t.Fatalf("StealBatch = %d, want 5", got)
 	}
 	for i := 0; i < 5; i++ {
-		if buf[i] != i {
-			t.Fatalf("buf[%d] = %d, want %d", i, buf[i], i)
+		if *buf[i] != i {
+			t.Fatalf("buf[%d] = %d, want %d", i, *buf[i], i)
 		}
 	}
 	// The remainder keeps its order for the owner.
@@ -306,8 +310,8 @@ func TestStealBatchTakesHalfOldestFirst(t *testing.T) {
 	d.Push(1)
 	d.Push(2)
 	d.Push(3)
-	if got := d.StealBatch(buf[:1]); got != 1 || buf[0] != 1 {
-		t.Fatalf("StealBatch(short buf) = %d (buf[0]=%d), want 1 (1)", got, buf[0])
+	if got := d.StealBatch(buf[:1]); got != 1 || *buf[0] != 1 {
+		t.Fatalf("StealBatch(short buf) = %d (buf[0]=%d), want 1 (1)", got, *buf[0])
 	}
 	d.Pop()
 	d.Pop()
@@ -316,8 +320,8 @@ func TestStealBatchTakesHalfOldestFirst(t *testing.T) {
 	}
 	// A single element is still taken ((1+1)/2 = 1).
 	d.Push(7)
-	if got := d.StealBatch(buf); got != 1 || buf[0] != 7 {
-		t.Fatalf("StealBatch(single) = %d (buf[0]=%d), want 1 (7)", got, buf[0])
+	if got := d.StealBatch(buf); got != 1 || *buf[0] != 7 {
+		t.Fatalf("StealBatch(single) = %d (buf[0]=%d), want 1 (7)", got, *buf[0])
 	}
 }
 
@@ -338,11 +342,11 @@ func TestStealBatchConcurrentNoLossNoDup(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			buf := make([]int, 8)
+			buf := make([]*int, 8)
 			drain := func() bool {
 				k := d.StealBatch(buf)
 				for j := 0; j < k; j++ {
-					seen[buf[j]].Add(1)
+					seen[*buf[j]].Add(1)
 					consumed.Add(1)
 				}
 				return k > 0
@@ -473,5 +477,45 @@ func TestQuickModelConformance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPointerFormsMoveThePointer checks the contract the scheduler relies
+// on: the pointer forms hand back exactly the pointers pushed, in deque
+// order, and moving a pointer through the deque allocates nothing.
+func TestPointerFormsMoveThePointer(t *testing.T) {
+	type rec struct{ id int }
+	recs := make([]rec, 6)
+	d := New[rec](8)
+	for i := range recs {
+		d.PushPtr(&recs[i])
+	}
+	if p := d.StealPtr(); p != &recs[0] {
+		t.Errorf("StealPtr = %p, want the oldest record %p", p, &recs[0])
+	}
+	if p := d.PopPtr(); p != &recs[5] {
+		t.Errorf("PopPtr = %p, want the newest record %p", p, &recs[5])
+	}
+	buf := make([]*rec, 4)
+	if k := d.StealBatch(buf); k != 2 || buf[0] != &recs[1] || buf[1] != &recs[2] {
+		t.Errorf("StealBatch = %d %v, want records 1 and 2", k, buf[:k])
+	}
+	d.PushBatch(buf[:2])
+	for _, want := range []*rec{&recs[2], &recs[1], &recs[4], &recs[3]} {
+		if p := d.PopPtr(); p != want {
+			t.Errorf("PopPtr = %p, want %p", p, want)
+		}
+	}
+	if d.PopPtr() != nil || d.StealPtr() != nil {
+		t.Error("empty deque returned a pointer")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		d.PushPtr(&recs[0])
+		d.PushBatch(buf[:2])
+		d.StealBatch(buf)
+		d.StealPtr()
+		d.PopPtr()
+	}); n != 0 {
+		t.Errorf("pointer forms allocated %v times per run", n)
 	}
 }

@@ -43,7 +43,7 @@ func TestSpawnNPrepareInProgramOrder(t *testing.T) {
 	var order []int32
 	d := depFunc{prepare: func(p, c *Frame) {
 		mu.Lock()
-		order = append(order, c.label[len(c.label)-1])
+		order = append(order, c.index)
 		mu.Unlock()
 	}}
 	New(4).Run(func(f *Frame) {

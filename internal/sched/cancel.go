@@ -214,6 +214,14 @@ func (f *Frame) absorbTaskPanic(r any) {
 	}
 }
 
+// recoverTask is deferred around task code (dep gates, bodies): it
+// absorbs whatever the code panicked with.
+func (f *Frame) recoverTask() {
+	if r := recover(); r != nil {
+		f.absorbTaskPanic(r)
+	}
+}
+
 // CancelScope returns the frame's cancel scope: the Run scope, or the
 // nearest enclosing ScopedCall sub-scope. It never returns nil for a
 // frame created by Run, and the methods of a nil scope are safe no-ops,

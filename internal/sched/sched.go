@@ -36,10 +36,11 @@
 //
 // Determinism reasoning in the paper is phrased in terms of the serial
 // elision: the depth-first execution order of the spawn tree. Each frame
-// carries a label — the path of spawn indices from the root — so that
-// "task A precedes task B in program order" is the lexicographic
-// comparison of labels. The hyperqueue uses labels to decide which
-// producers' values a consumer may observe (§2.3 rule 4).
+// has a label — the path of spawn indices from the root, stored as one
+// (parent, depth, index) triple per frame — so that "task A precedes task
+// B in program order" is the lexicographic comparison of labels. The
+// hyperqueue uses labels to decide which producers' values a consumer may
+// observe (§2.3 rule 4).
 package sched
 
 import (
@@ -252,32 +253,31 @@ func (rt *Runtime) releaseToken() { rt.tokens <- struct{}{} }
 // returns: every task's completion protocol runs, so views fold and
 // pool accounting balances.
 func (rt *Runtime) Run(fn func(*Frame)) error {
-	root := newFrame(rt, nil)
+	root := newFrame()
+	root.rt = rt
 	scope := rt.beginRun()
 	root.scope = scope
 	if rt.policy == PolicyGoroutine {
 		rt.acquire()
 		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					root.absorbTaskPanic(r)
-				}
-			}()
+			defer root.recoverTask()
 			if !scope.Canceled() {
 				fn(root)
 			}
 		}()
 		root.Sync()
 		rt.release()
+		root.gen++
 	} else {
-		done := make(chan struct{})
+		root.body = fn
+		root.done = make(chan struct{})
 		rt.pool.runBegin()
-		rt.pool.inject(&task{frame: root, body: fn, after: func(*Frame) { close(done) }})
+		rt.pool.inject(root)
 		// Wait as a blocked context: if the caller is itself a task (a
 		// nested Run), compensation keeps the pool making progress; for
 		// a plain external caller the dip in navail is harmless.
 		rt.pool.blockBegin()
-		<-done
+		<-root.done
 		rt.pool.blockEnd()
 		rt.pool.runEnd()
 	}
@@ -285,20 +285,54 @@ func (rt *Runtime) Run(fn func(*Frame)) error {
 }
 
 // Frame is one node of the spawn tree: the runtime context of a single
-// task. A Frame's methods (Spawn, Call, Sync, Block, attachments) must be
+// task, and at the same time the one record the runtime keeps for that
+// task — what it runs (body, spawn-time deps, completion signal), where
+// it sits in program order, its child accounting, and the per-task state
+// dependence implementations hang off it (attachments, sync hooks). A
+// spawn takes one such record and nothing else; under PolicySteal the
+// record is recycled through the executing worker's free list when the
+// task returns (worker.go).
+//
+// That makes the lifetime rule strict: a *Frame is valid from the spawn
+// that created it until its task has returned — body, implicit sync and
+// dep completions — and must not be used or retained past that point.
+// Code running on behalf of the task (its body, its deps' Prepare, Wait
+// and Complete, its sync hooks) and anything ordered before its
+// completion under a dep's own lock may hold it; nothing else may (code
+// that needs a task's place in program order later keeps its Label).
+// Using a frame whose task has returned panics ("frame used after its
+// task returned") for as long as the record has not been handed to a new
+// task.
+//
+// A Frame's methods (Spawn, Call, Sync, Block, attachments) must be
 // called only from the task goroutine that owns the frame; Dep
-// implementations may additionally touch a frame through their own
-// synchronization (the hyperqueue does so under its per-queue mutex).
+// implementations may additionally read a live frame's program-order
+// position (Before, IsAncestorOf, Parent) through their own
+// synchronization (the hyperqueue does so under its registry mutex).
 type Frame struct {
 	rt     *Runtime
 	parent *Frame
-	label  []int32
+
+	// depth and index place the frame in program order without a
+	// per-frame label: depth is the distance from the root and index the
+	// frame's spawn index within its parent. The path of indices from the
+	// root is the frame's label; Before and IsAncestorOf recover it by
+	// walking parents, which are alive for as long as the frame is.
+	// Immutable from spawn to return. nspawn allocates the children's
+	// indices.
+	depth  int32
+	index  int32
 	nspawn int32
+
+	// gen counts the record's lifecycle transitions: even while a task
+	// owns the record, odd from the moment that task has returned until
+	// the record is handed to the next spawn.
+	gen uint32
 
 	// scope is the frame's cancellation domain, inherited from the parent
 	// at spawn; Run sets the root's, ScopedCall swaps in a sub-scope.
-	// Written only before the frame's task can observe it (at newFrame or
-	// at the top of the ScopedCall wrapper body), read by park sites.
+	// Written only before the frame's task can observe it (at spawn or at
+	// the top of the ScopedCall wrapper body), read by park sites.
 	scope *CancelScope
 
 	// worker is the worker currently executing this frame's task, set by
@@ -308,37 +342,121 @@ type Frame struct {
 	worker  *worker
 	inBlock bool
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	live      int // outstanding children
-	attach    map[any]any
-	syncHooks []func()
+	// mu guards live; cond (whose L is &mu) signals live reaching zero.
+	// Neither is ever reset: a completing child may still be inside
+	// mu.Unlock when the parent's record is recycled, which is harmless
+	// only because the mutex stays the same mutex.
+	mu   sync.Mutex
+	cond sync.Cond
+	live int // outstanding children
 
-	// attachFast is the single-slot attachment fast path: the first key
-	// ever stored on the frame (for hyperqueue programs, by far the most
-	// common case: the one queue the task works on). Attachment reads it
-	// with one atomic load and an interface compare — no mutex, no map
-	// hash — which matters because dependence implementations resolve
-	// their per-frame state through Attachment on per-element hot paths.
-	// Invariant: the slot's key is never also present in the attach map.
-	attachFast atomic.Pointer[attachSlot]
+	// The task: exactly one of body and bodyN (the SpawnN form, called
+	// with arg) is set; done, when non-nil, is closed once the dep
+	// completions have run (Call and Run wait on it). Up to two deps live
+	// inline in dep2; a longer list spills to depv. The caller's variadic
+	// slice is copied, never stored, so it does not escape.
+	body  func(*Frame)
+	bodyN func(*Frame, int)
+	arg   int
+	done  chan struct{}
+	ndeps int
+	dep2  [2]Dep
+	depv  []Dep
+
+	// Attachments and sync hooks each keep their first entry inline —
+	// for hyperqueue programs, by far the most common case: the one queue
+	// the task works on — and spill to a map / slice beyond that. They
+	// are written by the spawning frame's goroutine before the task is
+	// published, or by the task itself, and read only by the task, so
+	// they need no lock. Invariant: attachKey is never also a key of
+	// attach.
+	attachKey, attachVal any
+	attach               map[any]any
+	hook                 SyncHook
+	hooks                []SyncHook
+
+	nextFree *Frame // link in a worker's free list
 }
 
-// attachSlot is one immutable (key, value) attachment pair; SetAttachment
-// publishes a fresh slot on every update so readers never observe a torn
-// pair.
-type attachSlot struct {
-	key, val any
-}
-
-func newFrame(rt *Runtime, parent *Frame) *Frame {
-	f := &Frame{rt: rt, parent: parent}
-	f.cond = sync.NewCond(&f.mu)
-	if parent != nil {
-		f.scope = parent.scope
-		f.label = append(append(make([]int32, 0, len(parent.label)+1), parent.label...), parent.nspawn)
-	}
+// newFrame allocates a fresh record. Everything but the condition
+// variable's lock binding starts at zero.
+func newFrame() *Frame {
+	f := &Frame{}
+	f.cond.L = &f.mu
 	return f
+}
+
+// newChild takes the record for f's next child — from the free list of
+// the worker running f when it has one, else from the heap — and places
+// it in program order. reused is 1 for a recycled record, 0 for a fresh
+// one (the spawn counters sum it over a wave).
+func (f *Frame) newChild() (c *Frame, reused int) {
+	if w := f.worker; w != nil && w.free != nil {
+		c = w.free
+		w.free, c.nextFree = c.nextFree, nil
+		w.nfree--
+		c.gen++ // even: owned by a task again
+		reused = 1
+	} else {
+		c = newFrame()
+	}
+	c.rt, c.parent, c.scope = f.rt, f, f.scope
+	c.depth, c.index = f.depth+1, f.nspawn
+	f.nspawn++
+	return c, reused
+}
+
+// setDeps copies the spawn-time deps into the record, refusing two deps
+// on one object (see ObjectDep).
+func (c *Frame) setDeps(deps []Dep) {
+	for i := 1; i < len(deps); i++ {
+		od, ok := deps[i].(ObjectDep)
+		if !ok {
+			continue
+		}
+		for _, e := range deps[:i] {
+			if oe, ok := e.(ObjectDep); ok && oe.Object() == od.Object() {
+				panic("sched: task spawned with two dependences on one object; combine them into one")
+			}
+		}
+	}
+	c.ndeps = len(deps)
+	if len(deps) <= len(c.dep2) {
+		copy(c.dep2[:], deps)
+		return
+	}
+	c.depv = append(c.depv[:0], deps...)
+}
+
+// deps returns the task's spawn-time deps, in declaration order.
+func (c *Frame) deps() []Dep {
+	if c.ndeps <= len(c.dep2) {
+		return c.dep2[:c.ndeps]
+	}
+	return c.depv
+}
+
+// checkLive panics when f's task has already returned: the record is
+// retired (and possibly sitting in a free list), so the caller holds a
+// stale frame.
+func (f *Frame) checkLive() {
+	if f.gen&1 != 0 {
+		panic("sched: frame used after its task returned")
+	}
+}
+
+// Label returns a copy of f's label: the path of spawn indices from the
+// root (empty for the root itself). Labels order like the frames they
+// name — lexicographic order is Before, proper prefix is IsAncestorOf —
+// and, unlike a *Frame, may be kept after the task has returned; the
+// hypermap's advisory claims index records them.
+func (f *Frame) Label() []int32 {
+	f.checkLive()
+	l := make([]int32, f.depth)
+	for g := f; g.parent != nil; g = g.parent {
+		l[g.depth-1] = g.index
+	}
+	return l
 }
 
 // Runtime returns the runtime this frame executes on.
@@ -348,33 +466,37 @@ func (f *Frame) Runtime() *Runtime { return f.rt }
 func (f *Frame) Parent() *Frame { return f.parent }
 
 // Before reports whether f precedes g in serial program order (the serial
-// elision). A frame does not precede itself or its ancestors/descendants
-// in the sense used by hyperqueue visibility; see IsAncestorOf.
+// elision): the lexicographic order of the frames' labels, so an ancestor
+// precedes its descendants. Visibility logic combines it with
+// IsAncestorOf. Both frames must be live.
 func (f *Frame) Before(g *Frame) bool {
-	n := len(f.label)
-	if len(g.label) < n {
-		n = len(g.label)
+	a, b := f, g
+	for a.depth > b.depth {
+		a = a.parent
 	}
-	for i := 0; i < n; i++ {
-		if f.label[i] != g.label[i] {
-			return f.label[i] < g.label[i]
-		}
+	for b.depth > a.depth {
+		b = b.parent
 	}
-	return len(f.label) < len(g.label)
+	if a == b {
+		// Same frame, or one is an ancestor of the other.
+		return f.depth < g.depth
+	}
+	for a.parent != b.parent {
+		a, b = a.parent, b.parent
+	}
+	return a.index < b.index
 }
 
 // IsAncestorOf reports whether f is a proper ancestor of g in the spawn
-// tree.
+// tree. Both frames must be live.
 func (f *Frame) IsAncestorOf(g *Frame) bool {
-	if len(f.label) >= len(g.label) {
+	if f.depth >= g.depth {
 		return false
 	}
-	for i := range f.label {
-		if f.label[i] != g.label[i] {
-			return false
-		}
+	for g.depth > f.depth {
+		g = g.parent
 	}
-	return true
+	return f == g
 }
 
 // Block runs wait while temporarily giving up the calling task's
@@ -388,6 +510,7 @@ func (f *Frame) IsAncestorOf(g *Frame) bool {
 // observing cancellation or a poisoned queue) leaves the token and
 // compensation accounting balanced.
 func (f *Frame) Block(wait func()) {
+	f.checkLive()
 	rt := f.rt
 	if rt.policy == PolicyGoroutine {
 		rt.release()
@@ -427,6 +550,11 @@ func (f *Frame) Block(wait func()) {
 //   - Complete is called in the child's context after the child's body
 //     and implicit sync have finished, and before the parent's Sync can
 //     observe the child as done.
+//
+// The runtime stores the Dep value in the task record, so a dep whose
+// dynamic type is pointer-shaped (a pointer, or a struct of one pointer)
+// costs no allocation per spawn; queues and versioned objects hand out
+// pointers to dep values they hold.
 type Dep interface {
 	Prepare(parent, child *Frame)
 	Wait(child *Frame)
@@ -443,6 +571,16 @@ type ReadyDep interface {
 	Ready(child *Frame) bool
 }
 
+// ObjectDep is an optional extension of Dep that names the object the
+// dependence is on. A task takes at most one dependence per object (the
+// access modes of one object combine into one dep, e.g. the hyperqueue's
+// pushpopdep): a spawn naming an object twice panics before any Prepare
+// has run, so the error leaves nothing half-registered.
+type ObjectDep interface {
+	Dep
+	Object() any
+}
+
 // Spawn creates a child task executing fn, gated by deps. It corresponds
 // to the paper's "spawn f(args...)": the call may proceed in parallel
 // with the continuation of the caller. An implicit Sync runs when fn
@@ -451,42 +589,29 @@ func (f *Frame) Spawn(fn func(*Frame), deps ...Dep) {
 	f.spawn(fn, nil, deps)
 }
 
-func (f *Frame) spawn(fn, after func(*Frame), deps []Dep) {
-	c := newFrame(f.rt, f)
-	f.nspawn++
-	f.mu.Lock()
-	f.live++
-	f.mu.Unlock()
-	prepared := false
-	defer func() {
-		// A panicking Prepare is a programming error (e.g. the privilege
-		// subset rule of §2.3); undo the child registration so the error
-		// is recoverable and Sync does not wait forever.
-		if !prepared {
-			f.mu.Lock()
-			f.live--
-			f.cond.Broadcast()
-			f.mu.Unlock()
-		}
-	}()
-	for _, d := range deps {
+// spawn takes a record for the child, runs the deps' Prepare and
+// publishes the task. A panicking Prepare is a programming error (e.g.
+// the privilege subset rule of §2.3): the child is registered with the
+// parent only once every Prepare has returned, so the panic leaves Sync
+// nothing to wait for and the error is recoverable; the record is left
+// to the garbage collector.
+func (f *Frame) spawn(fn func(*Frame), done chan struct{}, deps []Dep) {
+	f.checkLive()
+	c, reused := f.newChild()
+	c.body, c.done = fn, done
+	c.setDeps(deps)
+	for _, d := range c.deps() {
 		d.Prepare(f, c)
 	}
-	prepared = true
-	t := &task{frame: c, body: fn, deps: deps, after: after}
-	if f.rt.policy == PolicyGoroutine {
-		go f.rt.runTaskGoroutine(t)
-		return
-	}
-	if w := f.worker; w != nil {
-		w.dq.Push(t)
-	} else {
-		// Spawn from a frame not currently bound to a worker (defensive;
-		// the Frame contract makes this unreachable from user code).
-		f.rt.pool.pushGlobal(t)
-	}
-	f.rt.pool.stats.Spawns.Add(1)
-	f.rt.pool.ensureWorker()
+	wave := [1]*Frame{c}
+	f.publishBatch(wave[:], reused)
+}
+
+// addLive registers n published children with f.
+func (f *Frame) addLive(n int) {
+	f.mu.Lock()
+	f.live += n
+	f.mu.Unlock()
 }
 
 // BatchChild describes one child of a SpawnBatch: its body and its
@@ -504,9 +629,7 @@ type BatchChild struct {
 // stages that fan out k tasks per popped batch use it to take the
 // scheduler off their critical path.
 func (f *Frame) SpawnBatch(children []BatchChild) {
-	f.spawnBatch(len(children), func(i int) (func(*Frame), []Dep) {
-		return children[i].Body, children[i].Deps
-	})
+	f.spawnBatch(len(children), children, nil, nil)
 }
 
 // SpawnN spawns n children running fn(c, i) for i in [0, n), all gated by
@@ -514,69 +637,90 @@ func (f *Frame) SpawnBatch(children []BatchChild) {
 // §5.4 loop-split fan-out shape: "for each of the k items popped this
 // round, spawn a worker task with the same queue privileges".
 func (f *Frame) SpawnN(n int, fn func(*Frame, int), deps ...Dep) {
-	f.spawnBatch(n, func(i int) (func(*Frame), []Dep) {
-		return func(c *Frame) { fn(c, i) }, deps
-	})
+	f.spawnBatch(n, nil, fn, deps)
 }
 
-func (f *Frame) spawnBatch(n int, child func(i int) (func(*Frame), []Dep)) {
+// spawnBatch prepares n children — child i is children[i] when children
+// is given, else fn(c, i) gated by deps — and publishes them as one wave.
+// The wave is collected in the spawning worker's scratch buffer (nothing
+// between here and the publication can spawn on this worker), so a batch
+// allocates nothing beyond its records.
+func (f *Frame) spawnBatch(n int, children []BatchChild, fn func(*Frame, int), deps []Dep) {
+	f.checkLive()
 	if n <= 0 {
 		return
 	}
-	f.mu.Lock()
-	f.live += n
-	f.mu.Unlock()
-	ts := make([]*task, 0, n)
-	prepared := 0
+	w := f.worker
+	var wave []*Frame
+	if w != nil {
+		wave = w.wave[:0]
+	} else {
+		wave = make([]*Frame, 0, n)
+	}
+	reused := 0
+	// Deferred so that it also runs when a Prepare panics (a programming
+	// error such as the privilege subset rule): the failing child and the
+	// unprepared rest were never registered, but the children already
+	// fully prepared hold views and tickets and must still run — they are
+	// published before the panic continues.
 	defer func() {
-		if prepared == n {
-			return
+		f.publishBatch(wave, reused)
+		if w != nil {
+			clear(wave)
+			w.wave = wave[:0]
 		}
-		// A panicking Prepare (a programming error such as the privilege
-		// subset rule): the failing child and the unprepared rest are
-		// unregistered, but the children already fully prepared hold views
-		// and tickets and must still run — publish them before re-raising.
-		f.mu.Lock()
-		f.live -= n - prepared
-		f.cond.Broadcast()
-		f.mu.Unlock()
-		f.publishBatch(ts)
 	}()
 	for i := 0; i < n; i++ {
-		body, deps := child(i)
-		c := newFrame(f.rt, f)
-		f.nspawn++
-		for _, d := range deps {
+		c, r := f.newChild()
+		if children != nil {
+			c.body, deps = children[i].Body, children[i].Deps
+		} else {
+			c.bodyN, c.arg = fn, i
+		}
+		c.setDeps(deps)
+		for _, d := range c.deps() {
 			d.Prepare(f, c)
 		}
-		ts = append(ts, &task{frame: c, body: body, deps: deps})
-		prepared++
+		wave = append(wave, c)
+		reused += r
 	}
-	f.publishBatch(ts)
 }
 
 // publishBatch makes a wave of fully prepared tasks runnable: one
 // PushBatch on the spawning worker's deque and one wake sweep sized to
-// the batch.
-func (f *Frame) publishBatch(ts []*task) {
-	if len(ts) == 0 {
+// the batch. Once pushed, a task may run, return and have its record
+// recycled at any moment: nothing here touches it again.
+func (f *Frame) publishBatch(wave []*Frame, reused int) {
+	n := len(wave)
+	if n == 0 {
 		return
 	}
-	if f.rt.policy == PolicyGoroutine {
-		for _, t := range ts {
-			go f.rt.runTaskGoroutine(t)
+	f.addLive(n)
+	rt := f.rt
+	if rt.policy == PolicyGoroutine {
+		for _, c := range wave {
+			go rt.runTaskGoroutine(c)
 		}
 		return
 	}
 	if w := f.worker; w != nil {
-		w.dq.PushBatch(ts)
+		w.dq.PushBatch(wave)
 	} else {
-		for _, t := range ts {
-			f.rt.pool.pushGlobal(t)
+		// Spawn from a frame not currently bound to a worker (defensive;
+		// the Frame contract makes this unreachable from user code).
+		for _, c := range wave {
+			rt.pool.pushGlobal(c)
 		}
 	}
-	f.rt.pool.stats.Spawns.Add(uint64(len(ts)))
-	f.rt.pool.ensureWorkers(len(ts))
+	st := &rt.pool.stats
+	st.Spawns.Add(uint64(n))
+	if reused > 0 {
+		st.TaskReuses.Add(uint64(reused))
+	}
+	if n > reused {
+		st.TaskAllocs.Add(uint64(n - reused))
+	}
+	rt.pool.ensureWorkers(n)
 }
 
 // runTaskGoroutine is the PolicyGoroutine execution path: the seed
@@ -584,18 +728,14 @@ func (f *Frame) publishBatch(ts []*task) {
 // A canceled scope skips the dep gates and the body (their unwinds are
 // absorbed the same way), but the sync and completion protocol always
 // runs, so the parent's live-child accounting and the queue view deposits
-// stay balanced across an abort.
-func (rt *Runtime) runTaskGoroutine(t *task) {
-	c := t.frame
+// stay balanced across an abort. Records are not recycled here: the task
+// goroutines have no worker to cache them on.
+func (rt *Runtime) runTaskGoroutine(c *Frame) {
 	skip := c.scope.Canceled()
 	if !skip {
 		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					c.absorbTaskPanic(r)
-				}
-			}()
-			for _, d := range t.deps {
+			defer c.recoverTask()
+			for _, d := range c.deps() {
 				d.Wait(c)
 			}
 		}()
@@ -604,17 +744,45 @@ func (rt *Runtime) runTaskGoroutine(t *task) {
 	rt.acquire()
 	if !skip {
 		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					c.absorbTaskPanic(r)
-				}
-			}()
-			t.body(c)
+			defer c.recoverTask()
+			c.runBody()
 		}()
 	}
 	c.Sync()
 	rt.release()
-	t.finish()
+	c.finish()
+}
+
+// runBody calls the task's body in whichever form it was spawned.
+func (c *Frame) runBody() {
+	if c.bodyN != nil {
+		c.bodyN(c, c.arg)
+	} else {
+		c.body(c)
+	}
+}
+
+// finish runs the completion protocol shared by both substrates: dep
+// Complete calls in the child's context, the done signal, and the
+// parent's live-child accounting. The frame is marked as returned before
+// anyone is told, so whoever learns of the completion also sees the mark.
+// Once the parent's lock is released the parent may return and its record
+// be recycled, so nothing touches it after that.
+func (c *Frame) finish() {
+	p := c.parent
+	for _, d := range c.deps() {
+		d.Complete(p, c)
+	}
+	c.gen++ // odd: any further use of the frame is a bug, and panics
+	if c.done != nil {
+		close(c.done)
+	}
+	if p != nil {
+		p.mu.Lock()
+		p.live--
+		p.cond.Broadcast()
+		p.mu.Unlock()
+	}
 }
 
 // helpLocal is the help-first counterpart of Cilk's work-first sync: a
@@ -639,15 +807,15 @@ func (f *Frame) helpLocal(quit func() bool) {
 		return
 	}
 	for !quit() {
-		t, ok := w.dq.Pop()
-		if !ok {
+		c := w.dq.PopPtr()
+		if c == nil {
 			return
 		}
-		if !f.IsAncestorOf(t.frame) {
-			w.dq.Push(t)
+		if !f.IsAncestorOf(c) {
+			w.dq.PushPtr(c)
 			return
 		}
-		f.rt.pool.runTask(w, t)
+		f.rt.pool.runTask(w, c)
 	}
 }
 
@@ -659,7 +827,7 @@ func (f *Frame) helpLocal(quit func() bool) {
 // caller's deque and runs inline via helpLocal.
 func (f *Frame) Call(fn func(*Frame), deps ...Dep) {
 	done := make(chan struct{})
-	f.spawn(fn, func(*Frame) { close(done) }, deps)
+	f.spawn(fn, done, deps)
 	if f.rt.policy != PolicyGoroutine {
 		closed := func() bool {
 			select {
@@ -683,21 +851,13 @@ func (f *Frame) Call(fn func(*Frame), deps ...Dep) {
 // hyperqueue uses a hook to fold its children view into the user view,
 // §4.2 "Sync").
 func (f *Frame) Sync() {
-	quiet := func() bool {
-		f.mu.Lock()
-		q := f.live == 0
-		f.mu.Unlock()
-		return q
-	}
-	if f.rt.policy != PolicyGoroutine && !quiet() {
+	f.checkLive()
+	if f.rt.policy != PolicyGoroutine && !f.quiet() {
 		// Help first: run our own pending children (and their descendants)
 		// off the local deque instead of parking immediately.
-		f.helpLocal(quiet)
+		f.helpLocal(f.quiet)
 	}
-	f.mu.Lock()
-	pending := f.live != 0
-	f.mu.Unlock()
-	if pending {
+	if !f.quiet() {
 		f.Block(func() {
 			f.mu.Lock()
 			for f.live != 0 {
@@ -706,21 +866,41 @@ func (f *Frame) Sync() {
 			f.mu.Unlock()
 		})
 	}
-	f.mu.Lock()
-	hooks := make([]func(), len(f.syncHooks))
-	copy(hooks, f.syncHooks)
-	f.mu.Unlock()
-	for _, h := range hooks {
-		h()
+	if f.hook != nil {
+		f.hook.OnSync()
+		for i := 0; i < len(f.hooks); i++ {
+			f.hooks[i].OnSync()
+		}
 	}
 }
 
-// AddSyncHook registers fn to run (in the frame's goroutine) after every
-// Sync of this frame, including the implicit sync at frame completion.
-func (f *Frame) AddSyncHook(fn func()) {
+// quiet reports whether every child spawned so far has completed.
+func (f *Frame) quiet() bool {
 	f.mu.Lock()
-	f.syncHooks = append(f.syncHooks, fn)
+	q := f.live == 0
 	f.mu.Unlock()
+	return q
+}
+
+// SyncHook is the callback a dependence implementation registers with
+// AddSyncHook. It is an interface rather than a func so that the per-task
+// state an implementation already keeps (the hyperqueue's view set) can
+// be the hook itself, with no closure allocated per spawn.
+type SyncHook interface {
+	OnSync()
+}
+
+// AddSyncHook registers h to run (in the frame's goroutine) after every
+// Sync of this frame, including the implicit sync at frame completion.
+// Like SetAttachment it is called by the frame's own task, or by the
+// spawning frame from a dep's Prepare.
+func (f *Frame) AddSyncHook(h SyncHook) {
+	f.checkLive()
+	if f.hook == nil {
+		f.hook = h
+	} else {
+		f.hooks = append(f.hooks, h)
+	}
 }
 
 // Parallel reports whether the program is executing with more than one
@@ -747,27 +927,29 @@ func (f *Frame) WorkerID() int {
 // Attachment returns the attachment stored under key, or nil.
 // Attachments let dependence implementations hang per-frame state (such
 // as hyperqueue views) off a frame. The first key stored on a frame is
-// served from a lock-free single-slot fast path; further keys fall back
-// to a mutex-guarded map.
+// served from an inline slot — one interface compare, no map hash, which
+// matters because dependence implementations resolve their per-frame
+// state through Attachment on per-element hot paths; further keys fall
+// back to a map.
 func (f *Frame) Attachment(key any) any {
-	if s := f.attachFast.Load(); s != nil && s.key == key {
-		return s.val
+	f.checkLive()
+	if f.attachKey == key {
+		return f.attachVal
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	return f.attach[key]
 }
 
-// SetAttachment stores v under key.
+// SetAttachment stores v under key. It is called by the frame's own
+// task, or by the spawning frame from a dep's Prepare (before the task is
+// published).
 func (f *Frame) SetAttachment(key any, v any) {
-	f.mu.Lock()
-	if s := f.attachFast.Load(); s == nil || s.key == key {
-		f.attachFast.Store(&attachSlot{key: key, val: v})
-	} else {
-		if f.attach == nil {
-			f.attach = make(map[any]any)
-		}
-		f.attach[key] = v
+	f.checkLive()
+	if f.attachKey == nil || f.attachKey == key {
+		f.attachKey, f.attachVal = key, v
+		return
 	}
-	f.mu.Unlock()
+	if f.attach == nil {
+		f.attach = make(map[any]any)
+	}
+	f.attach[key] = v
 }

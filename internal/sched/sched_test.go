@@ -141,44 +141,46 @@ func TestSyncReleasesSlot(t *testing.T) {
 func TestProgramOrderLabels(t *testing.T) {
 	type rec struct{ a, b, c *Frame }
 	var r rec
-	var root *Frame
-	New(2).Run(func(f *Frame) {
-		root = f
+	New(2).Run(func(root *Frame) {
 		var wg sync.WaitGroup
 		wg.Add(3)
-		f.Spawn(func(c *Frame) { r.a = c; wg.Done() })
-		f.Spawn(func(c *Frame) {
+		// Frames are comparable only while their tasks run: each task
+		// parks until the comparisons are done.
+		compared := make(chan struct{})
+		defer close(compared)
+		hold := func(c *Frame) { wg.Done(); c.Block(func() { <-compared }) }
+		root.Spawn(func(c *Frame) { r.a = c; hold(c) })
+		root.Spawn(func(c *Frame) {
 			r.b = c
-			c.Spawn(func(g *Frame) { r.c = g; wg.Done() })
-			wg.Done()
+			c.Spawn(func(g *Frame) { r.c = g; hold(g) })
+			hold(c)
 		})
-		f.Sync()
-		wg.Wait()
+		root.Block(wg.Wait)
+		if !r.a.Before(r.b) {
+			t.Error("a must precede b")
+		}
+		if r.b.Before(r.a) {
+			t.Error("b must not precede a")
+		}
+		if !r.a.Before(r.c) {
+			t.Error("a must precede nested c")
+		}
+		if !r.b.IsAncestorOf(r.c) {
+			t.Error("b must be ancestor of c")
+		}
+		if r.b.Before(r.c) || r.c.Before(r.b) {
+			// An ancestor relationship: Before treats the ancestor as earlier
+			// (prefix), so b.Before(c) is actually true by label order.
+			// Visibility logic must combine Before with IsAncestorOf; here we
+			// just pin the label semantics.
+		}
+		if !root.IsAncestorOf(r.a) || !root.IsAncestorOf(r.c) {
+			t.Error("root must be ancestor of all")
+		}
+		if root.IsAncestorOf(root) {
+			t.Error("a frame is not its own ancestor")
+		}
 	})
-	if !r.a.Before(r.b) {
-		t.Error("a must precede b")
-	}
-	if r.b.Before(r.a) {
-		t.Error("b must not precede a")
-	}
-	if !r.a.Before(r.c) {
-		t.Error("a must precede nested c")
-	}
-	if !r.b.IsAncestorOf(r.c) {
-		t.Error("b must be ancestor of c")
-	}
-	if r.b.Before(r.c) || r.c.Before(r.b) {
-		// An ancestor relationship: Before treats the ancestor as earlier
-		// (prefix), so b.Before(c) is actually true by label order.
-		// Visibility logic must combine Before with IsAncestorOf; here we
-		// just pin the label semantics.
-	}
-	if !root.IsAncestorOf(r.a) || !root.IsAncestorOf(r.c) {
-		t.Error("root must be ancestor of all")
-	}
-	if root.IsAncestorOf(root) {
-		t.Error("a frame is not its own ancestor")
-	}
 }
 
 func TestCallRunsInline(t *testing.T) {
@@ -344,11 +346,16 @@ func TestCompleteBeforeParentSyncReturns(t *testing.T) {
 	})
 }
 
+// hookFunc adapts a func to SyncHook.
+type hookFunc func()
+
+func (h hookFunc) OnSync() { h() }
+
 func TestSyncHooksRunAfterChildren(t *testing.T) {
 	var childDone atomic.Bool
 	var hookSawChild atomic.Bool
 	New(2).Run(func(f *Frame) {
-		f.AddSyncHook(func() { hookSawChild.Store(childDone.Load()) })
+		f.AddSyncHook(hookFunc(func() { hookSawChild.Store(childDone.Load()) }))
 		f.Spawn(func(*Frame) {
 			time.Sleep(5 * time.Millisecond)
 			childDone.Store(true)
@@ -442,9 +449,13 @@ func TestTaskPanicPropagatesFromRun(t *testing.T) {
 			t.Error("sibling task did not complete before Run returned")
 		}
 	}()
+	// The panic cancels the run's scope, and a task that has not started
+	// by then is skipped: the panic waits for the sibling to be running.
+	started := make(chan struct{})
 	New(4).Run(func(f *Frame) {
-		f.Spawn(func(*Frame) { panic("boom") })
+		f.Spawn(func(*Frame) { <-started; panic("boom") })
 		f.Spawn(func(*Frame) {
+			close(started)
 			time.Sleep(10 * time.Millisecond)
 			siblingRan.Store(true)
 		})

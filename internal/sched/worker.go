@@ -7,40 +7,14 @@ import (
 	"repro/internal/deque"
 )
 
-// task is one schedulable unit: a frame, its body, its spawn-time deps,
-// and an optional completion callback (Call and Run use it).
-type task struct {
-	frame *Frame
-	body  func(*Frame)
-	deps  []Dep
-	after func(*Frame)
-}
-
-// finish runs the completion protocol shared by both substrates: dep
-// Complete calls in the child's context, the after callback, and the
-// parent's live-child accounting.
-func (t *task) finish() {
-	c := t.frame
-	for _, d := range t.deps {
-		d.Complete(c.parent, c)
-	}
-	if t.after != nil {
-		t.after(c)
-	}
-	if p := c.parent; p != nil {
-		p.mu.Lock()
-		p.live--
-		p.cond.Broadcast()
-		p.mu.Unlock()
-	}
-}
-
 // Stats is a snapshot of scheduler counters. The deque/steal counters
 // are PolicySteal only (the goroutine substrate reports zeros there);
 // CanceledRuns and TaskPanics are runtime-level and count under both
 // substrates.
 type Stats struct {
 	Spawns         uint64 // tasks pushed onto deques
+	TaskAllocs     uint64 // of those, task records allocated fresh
+	TaskReuses     uint64 // of those, task records taken from a worker's free list
 	Steals         uint64 // successful steal sweeps from a victim deque
 	StolenTasks    uint64 // tasks taken by those sweeps (>= Steals with batching)
 	Parks          uint64 // times a worker went to sleep for lack of work
@@ -65,6 +39,8 @@ func (rt *Runtime) Stats() Stats {
 	p.mu.Unlock()
 	return Stats{
 		Spawns:         p.stats.Spawns.Load(),
+		TaskAllocs:     p.stats.TaskAllocs.Load(),
+		TaskReuses:     p.stats.TaskReuses.Load(),
 		Steals:         p.stats.Steals.Load(),
 		StolenTasks:    p.stats.StolenTasks.Load(),
 		Parks:          p.stats.Parks.Load(),
@@ -78,6 +54,8 @@ func (rt *Runtime) Stats() Stats {
 
 type statCounters struct {
 	Spawns         atomic.Uint64
+	TaskAllocs     atomic.Uint64
+	TaskReuses     atomic.Uint64
 	Steals         atomic.Uint64
 	StolenTasks    atomic.Uint64
 	Parks          atomic.Uint64
@@ -106,7 +84,7 @@ type pool struct {
 	wakeups    int        // pending wake permits (level-triggered signal)
 	blocked    int        // tasks inside a Block region
 	activeRuns int        // Run calls in flight; workers exit at zero
-	global     []*task    // injection queue (root tasks, unbound spawns)
+	global     []*Frame   // injection queue (root tasks, unbound spawns)
 	nextID     int        // worker id allocator (ids are never reused)
 
 	navail  atomic.Int32 // alive - parked - blocked (see above)
@@ -143,24 +121,25 @@ func (p *pool) runEnd() {
 	p.mu.Unlock()
 }
 
-func (p *pool) inject(t *task) {
+func (p *pool) inject(t *Frame) {
 	p.pushGlobal(t)
 	p.ensureWorker()
 }
 
-func (p *pool) pushGlobal(t *task) {
+func (p *pool) pushGlobal(t *Frame) {
 	p.mu.Lock()
 	p.global = append(p.global, t)
 	p.mu.Unlock()
 }
 
-func (p *pool) popGlobal() *task {
+func (p *pool) popGlobal() *Frame {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.global) == 0 {
 		return nil
 	}
 	t := p.global[0]
+	p.global[0] = nil
 	p.global = p.global[1:]
 	return t
 }
@@ -197,7 +176,7 @@ func (p *pool) ensureWorkers(k int) {
 
 func (p *pool) startWorkerLocked() {
 	p.nextID++
-	w := &worker{p: p, id: p.nextID, dq: deque.New[*task](64), rnd: p.seed.Add(0x9e3779b97f4a7c15) | 1}
+	w := &worker{p: p, id: p.nextID, dq: deque.New[Frame](64), rnd: p.seed.Add(0x9e3779b97f4a7c15) | 1}
 	p.alive++
 	p.navail.Add(1)
 	p.stats.WorkersStarted.Add(1)
@@ -294,6 +273,15 @@ func (p *pool) park(w *worker) bool {
 	return true
 }
 
+// taskCacheCap bounds a worker's free list of retired task records. A
+// worker that executes about as many tasks as it spawns — the recursive
+// spawn trees and batch-and-sync loops this runtime is built for —
+// cycles a handful of records through the list. The cap has to cover a
+// wave of spawns between two syncs (a flat fan-out of a few hundred tasks
+// retires them all onto one list), and it bounds what a worker hoards
+// when it executes what others spawn: 256 records are 80 KB.
+const taskCacheCap = 256
+
 // worker owns one Chase–Lev deque: it pushes and pops at the bottom
 // (LIFO) and other workers steal from the top (FIFO), which gives thieves
 // the oldest — typically largest — subtree, as in Cilk. The id is a
@@ -302,13 +290,57 @@ func (p *pool) park(w *worker) bool {
 type worker struct {
 	p   *pool
 	id  int
-	dq  *deque.D[*task]
+	dq  *deque.D[Frame]
 	rnd uint64
+
+	// free is the worker's LIFO of retired task records, linked through
+	// Frame.nextFree and holding nfree <= taskCacheCap of them. runTask
+	// retires a record to the list of the worker that executed the task;
+	// a spawn takes from the list of the worker running the spawning
+	// frame. Both happen on this worker's own goroutine — a task runs on
+	// one worker from start to finish, and a worker buried under a Block
+	// is replaced by a different worker, not shared — so the list needs
+	// no lock and no atomics.
+	free  *Frame
+	nfree int
 
 	// sbuf receives steal-half batches; entries are moved to the local
 	// deque (or returned) and cleared immediately, so it retains nothing
-	// between sweeps.
-	sbuf [stealBatchMax]*task
+	// between sweeps. wave is SpawnBatch's scratch for the tasks it is
+	// about to publish, cleared the same way.
+	sbuf [stealBatchMax]*Frame
+	wave []*Frame
+}
+
+// retire resets the record of a task that has returned and keeps it for
+// a later spawn on this worker, when nothing can still refer to it. It
+// runs on the worker that executed the task, after the completion
+// protocol: the dep completions have dropped the dependences' references
+// (the hyperqueue's producer registry, its view sets), the parent has
+// been notified and does not look at its children again, and a thief
+// that raced for the task never dereferences a pointer it failed to
+// claim. Root frames (Run still holds them) and the overflow beyond
+// taskCacheCap are left to the garbage collector.
+func (w *worker) retire(c *Frame) {
+	if c.parent == nil || w.nfree == taskCacheCap {
+		return
+	}
+	// Drop every reference the task held, so a cached record pins no
+	// garbage and a stale user fails fast instead of reading the next
+	// task's state. mu and cond are deliberately left alone.
+	c.parent, c.scope = nil, nil
+	c.nspawn = 0
+	c.body, c.bodyN, c.done = nil, nil, nil
+	clear(c.dep2[:])
+	clear(c.depv)
+	c.ndeps, c.depv = 0, c.depv[:0]
+	c.attachKey, c.attachVal = nil, nil
+	clear(c.attach)
+	c.hook = nil
+	clear(c.hooks)
+	c.hooks = c.hooks[:0]
+	c.nextFree, w.free = w.free, c
+	w.nfree++
 }
 
 func (w *worker) rand() uint64 {
@@ -327,8 +359,8 @@ func (w *worker) rand() uint64 {
 // where they stay visible to other thieves and to park's work check. The
 // extras are run only from the top level of the worker loop or re-stolen
 // — helpLocal's descendant guard keeps them from being buried mid-Sync.
-func (w *worker) find() *task {
-	if t, ok := w.dq.Pop(); ok {
+func (w *worker) find() *Frame {
+	if t := w.dq.PopPtr(); t != nil {
 		return t
 	}
 	if t := w.p.popGlobal(); t != nil {
@@ -347,7 +379,7 @@ func (w *worker) find() *task {
 		}
 		if w.p.stealCap <= 1 {
 			// Ablation comparison mode: classic single-task steal.
-			if t, ok := v.dq.Steal(); ok {
+			if t := v.dq.StealPtr(); t != nil {
 				w.p.stats.Steals.Add(1)
 				w.p.stats.StolenTasks.Add(1)
 				return t
@@ -386,58 +418,57 @@ func (p *pool) loop(w *worker) {
 }
 
 // runTask executes one task to completion on worker w: dep gates, body,
-// implicit sync, dep completions, parent notification. The caller holds a
-// run token; any blocking inside (gated deps, Sync, queue waits) releases
-// it through Frame.Block.
-//
-// The recover spans the dep gates as well as the body: a gate parked on a
-// queue of a canceled scope unwinds with CancelUnwind, and that unwind
-// must be absorbed exactly like one from the body. A task whose scope is
-// already canceled skips gates and body outright — the fast path of
-// teardown — but the implicit sync and the completion protocol always
-// run, so parents sync, views deposit, and tickets advance even while a
-// pipeline is being torn down.
-func (p *pool) runTask(w *worker, t *task) {
-	c := t.frame
+// implicit sync, dep completions, parent notification, and finally the
+// record's retirement to w's free list. The caller holds a run token; any
+// blocking inside (gated deps, Sync, queue waits) releases it through
+// Frame.Block.
+func (p *pool) runTask(w *worker, c *Frame) {
 	c.worker = w
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				c.absorbTaskPanic(r)
+	c.runGated()
+	c.Sync()
+	c.finish()
+	c.worker = nil
+	w.retire(c)
+}
+
+// runGated runs the task's dep gates and body under one recover. The
+// recover spans the gates as well as the body: a gate parked on a queue
+// of a canceled scope unwinds with CancelUnwind, and that unwind must be
+// absorbed exactly like one from the body. A task whose scope is already
+// canceled skips gates and body outright — the fast path of teardown —
+// but the implicit sync and the completion protocol always run, so
+// parents sync, views deposit, and tickets advance even while a pipeline
+// is being torn down.
+func (c *Frame) runGated() {
+	defer c.recoverTask()
+	if c.scope.Canceled() {
+		return
+	}
+	if deps := c.deps(); len(deps) > 0 {
+		ready := true
+		for _, d := range deps {
+			rd, ok := d.(ReadyDep)
+			if !ok || !rd.Ready(c) {
+				ready = false
+				break
 			}
-		}()
-		if c.scope.Canceled() {
-			return
 		}
-		if len(t.deps) > 0 {
-			ready := true
-			for _, d := range t.deps {
-				rd, ok := d.(ReadyDep)
-				if !ok || !rd.Ready(c) {
-					ready = false
-					break
-				}
+		if ready {
+			// All gates are open (and, per the ReadyDep contract, stay
+			// open): run the Wait protocol without giving up the token.
+			for _, d := range deps {
+				d.Wait(c)
 			}
-			if ready {
-				// All gates are open (and, per the ReadyDep contract, stay
-				// open): run the Wait protocol without giving up the token.
-				for _, d := range t.deps {
+		} else {
+			c.Block(func() {
+				for _, d := range deps {
 					d.Wait(c)
 				}
-			} else {
-				c.Block(func() {
-					for _, d := range t.deps {
-						d.Wait(c)
-					}
-				})
-			}
+			})
 		}
 		if c.scope.Canceled() {
 			return
 		}
-		t.body(c)
-	}()
-	c.Sync()
-	t.finish()
-	c.worker = nil
+	}
+	c.runBody()
 }

@@ -20,6 +20,11 @@
 //     checked exactly — SegmentAllocs == PooledSegments +
 //     DroppedSegments + retired + Σ live chain segments — so a single
 //     leaked or double-recycled segment fails the run at the next stripe.
+//     The same stripe checks the spawn side's books: every task the
+//     scheduler dispatched ran on a record that was either allocated
+//     fresh or taken from a worker's free list, Spawns == TaskAllocs +
+//     TaskReuses (how many records a free list may hold is bounded by
+//     construction, and asserted in internal/sched's own tests).
 //
 // Execution is windowed: each window of OpsPerWindow steps runs as one
 // Runtime.Run, derives its op sequence from wseed = seed + windowIndex,
@@ -1106,6 +1111,10 @@ func (w *window) opAudit() {
 	}
 	w.logf("audit allocs=%d pooled=%d dropped=%d retired=%d live=%d",
 		allocs, pooled, dropped, *w.retired, live)
+	if st := w.f.Runtime().Stats(); st.Spawns != st.TaskAllocs+st.TaskReuses {
+		w.failf("task-record audit: spawns=%d but allocs=%d + reuses=%d = %d",
+			st.Spawns, st.TaskAllocs, st.TaskReuses, st.TaskAllocs+st.TaskReuses)
+	}
 	w.r.rep.Audits++
 }
 

@@ -38,6 +38,8 @@ var metricRows = []metricRow{
 		func(s RuntimeStats) float64 { return float64(s.RecycledQueues) }, nil, nil},
 	{"swan_sched_spawns_total", "counter", "Tasks dispatched through the scheduler.",
 		func(s RuntimeStats) float64 { return float64(s.Spawns) }, nil, nil},
+	{"swan_sched_task_allocs_total", "counter", "Spawns that allocated a fresh task record (the rest reused a recycled one).",
+		func(s RuntimeStats) float64 { return float64(s.TaskAllocs) }, nil, nil},
 	{"swan_sched_steals_total", "counter", "Successful work-stealing steal sweeps.",
 		func(s RuntimeStats) float64 { return float64(s.Steals) }, nil, nil},
 	{"swan_sched_stolen_tasks_total", "counter", "Tasks taken by steal sweeps (> steals with steal-half batching).",

@@ -49,8 +49,9 @@ func TransformSerial[I, O any](f *Frame, in *Queue[I], out *Queue[O], fn func(I,
 	f.Spawn(func(c *Frame) {
 		pp := in.BindPop(c)
 		pw := out.BindPush(c)
+		push := pw.Push // bound once: a method value allocates where it is evaluated
 		for !pp.Empty() {
-			fn(pp.Pop(), pw.Push)
+			fn(pp.Pop(), push)
 		}
 	}, Pop(in), Push(out))
 }
@@ -74,12 +75,14 @@ func DrainSlices[T any](f *Frame, q *Queue[T], batch int, fn func([]T)) {
 	}
 	f.Spawn(func(c *Frame) {
 		pp := q.BindPop(c)
+		var one [1]T // the fallback's batch, allocated once per task rather than per pop
 		for !pp.Empty() {
 			s := pp.ReadSlice(batch)
 			if len(s) == 0 {
 				// Empty returned false, so a value is in flight; fall
 				// back to a single pop to make progress.
-				fn([]T{pp.Pop()})
+				one[0] = pp.Pop()
+				fn(one[:])
 				continue
 			}
 			fn(s)

@@ -131,3 +131,72 @@ func TestThreeStageTypedPipeline(t *testing.T) {
 		}
 	}
 }
+
+func noop(*swan.Frame) {}
+
+// TestSpawnWithQueueDepAllocatesNothing is the public-API end of the
+// spawn path's allocation budget (internal/sched holds the rest): in
+// steady state a spawn with a pushdep takes its task record and its view
+// set from the free lists, and the dependence itself is a pointer the
+// queue already holds. One worker, so that no thief carries records away.
+func TestSpawnWithQueueDepAllocatesNothing(t *testing.T) {
+	swan.NewWithPolicy(1, swan.PolicySteal).Run(func(f *swan.Frame) {
+		q := swan.NewQueue[int](f)
+		q2 := swan.NewQueue[string](f)
+		v := swan.NewVersioned(0)
+		ops := map[string]func(){
+			"Spawn(Push)+Sync":      func() { f.Spawn(noop, swan.Push(q)); f.Sync() },
+			"Spawn(PushPop)+Sync":   func() { f.Spawn(noop, swan.PushPop(q)); f.Sync() },
+			"Spawn(Push, Pop)+Sync": func() { f.Spawn(noop, swan.Push(q), swan.Pop(q2)); f.Sync() },
+			"SpawnN(16, Push)+Sync": func() { f.SpawnN(16, func(*swan.Frame, int) {}, swan.Push(q)); f.Sync() },
+			"Spawn(In)+Sync":        func() { f.Spawn(noop, swan.In(v)); f.Sync() },
+		}
+		for name, op := range ops {
+			for i := 0; i < 4; i++ {
+				op()
+			}
+			// A versioned object's In binds the reader to a version: one
+			// small record per spawn, by design.
+			budget := 0.0
+			if name == "Spawn(In)+Sync" {
+				budget = 1
+			}
+			if got := testing.AllocsPerRun(200, op); got > budget {
+				t.Errorf("%s: %v allocs per run, budget %v", name, got, budget)
+			}
+		}
+	})
+}
+
+// TestTransformSerialSteadyStateAllocs moves 50 000 elements through
+// Produce → TransformSerial → Drain and charges the whole run's
+// allocations to them: set-up costs a few hundred, so anything near one
+// per element is a per-element allocation (the method value
+// TransformSerial used to re-evaluate in its loop).
+func TestTransformSerialSteadyStateAllocs(t *testing.T) {
+	const n = 50_000
+	rt := swan.New(2)
+	sum := 0
+	run := func() {
+		sum = 0
+		rt.Run(func(f *swan.Frame) {
+			q1 := swan.NewQueue[int](f)
+			q2 := swan.NewQueue[int](f)
+			swan.Produce(f, q1, func(c *swan.Frame, push func(int)) {
+				for i := 0; i < n; i++ {
+					push(i)
+				}
+			})
+			swan.TransformSerial(f, q1, q2, func(v int, push func(int)) { push(v + 1) })
+			swan.Drain(f, q2, func(v int) { sum += v })
+			f.Sync()
+		})
+	}
+	run() // warm the segment pools
+	if per := testing.AllocsPerRun(3, run) / n; per > 0.02 {
+		t.Errorf("%.3f allocs per element, want ~0", per)
+	}
+	if want := n * (n + 1) / 2; sum != want {
+		t.Errorf("sum = %d, want %d", sum, want)
+	}
+}

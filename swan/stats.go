@@ -21,6 +21,7 @@ type RuntimeStats struct {
 	SegmentAllocs  uint64       // segments ever allocated fresh (pool misses)
 	RecycledQueues uint64       // completed Queue.Recycle resets
 	Spawns         uint64       // tasks dispatched (PolicySteal only)
+	TaskAllocs     uint64       // of those, task records allocated fresh; the rest reused a worker's recycled record
 	Steals         uint64       // successful steal sweeps (PolicySteal only)
 	StolenTasks    uint64       // tasks taken by steal sweeps (>= Steals with steal-half batching)
 	Parks          uint64       // worker sleeps for lack of work (PolicySteal only)
@@ -50,6 +51,7 @@ func Stats(rt *Runtime) RuntimeStats {
 		SegmentAllocs:  prov.SegmentAllocs(),
 		RecycledQueues: prov.RecycledQueues(),
 		Spawns:         s.Spawns,
+		TaskAllocs:     s.TaskAllocs,
 		Steals:         s.Steals,
 		StolenTasks:    s.StolenTasks,
 		Parks:          s.Parks,

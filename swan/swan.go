@@ -102,6 +102,14 @@ type Runtime = sched.Runtime
 
 // Frame is the runtime context of one task: the handle for spawning
 // children, syncing, and accessing queues and versioned objects.
+//
+// A frame belongs to its task and must not be retained past it: the
+// runtime reuses the frame's record for a later spawn once the task has
+// returned (its body, its implicit sync and its dependences' completions),
+// exactly as bound queue handles must not outlive the body they were
+// bound in. Using a frame whose task has returned panics with "frame used
+// after its task returned". Code that needs a task's place in program
+// order afterwards keeps its Label, a copy, taken from inside the task.
 type Frame = sched.Frame
 
 // Dep is a dependence passed at spawn time: a queue access mode (Push,
