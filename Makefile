@@ -35,9 +35,12 @@ fmt-check:
 test:
 	$(GO) test ./...
 
-# The scheduler and queue packages must be race-clean.
+# The scheduler and queue packages must be race-clean, and so must the
+# public API's tests: the Sharded tests with teeth (eager publication, a
+# jammed shard at tiny bounds) live in ./swan. ./internal/... includes
+# the sharded workloads (streamstats, dedup).
 race:
-	$(GO) test -race -short ./internal/...
+	$(GO) test -race -short ./internal/... ./swan
 
 # Compile-and-run every benchmark once so benchmark code cannot bit-rot.
 bench-smoke:

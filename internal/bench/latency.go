@@ -27,21 +27,32 @@ type LatencyConfig struct {
 // counts, time to first result, and completion-latency percentiles from
 // the HDR-style histogram (all latencies in nanoseconds).
 //
-// The run is open-loop: each element's stamp is its *intended* arrival
-// time, so when the pipeline falls behind the queueing delay counts
-// against it (no coordinated omission).
+// The run is open-loop: each element's stamp is the due time of its
+// arrival burst, whenever the generator got to release it, so when the
+// pipeline falls behind the queueing delay counts against it (no
+// coordinated omission).
 type LatencyReport struct {
 	Workload        string
 	Shards, Workers int
 	Rate            float64
 	Offered         uint64
 	Completed       uint64
+	Negative        uint64 // elements that completed before their stamp: a generator that released early (want 0)
 	WallSeconds     float64
 	TTFR            int64 // time to first result, ns from run start
 	P50, P99, P999  int64
 	Max             int64
 	Mean            float64
 }
+
+const (
+	// burstPeriod spaces the arrival bursts of a paced run.
+	burstPeriod = 5 * time.Millisecond
+	// Go timers wake up to ~1.1 ms after the time asked for, so the
+	// generator sleeps to this far before a burst is due and yields the
+	// rest of the way.
+	sleepMargin = 1200 * time.Microsecond
+)
 
 // MeasureLatency runs one open-loop latency experiment. The arrival
 // generator runs inside the producer's Block regions (pacing sleeps
@@ -62,37 +73,55 @@ func MeasureLatency(cfg LatencyConfig) LatencyReport {
 	var h hist.H
 	var start time.Time
 	var ttfr int64 = -1
-	var offered uint64
+	var offered, negative uint64
 
-	// arrive sleeps until element i's intended arrival and returns that
-	// intended time as the stamp — not time.Now() — so queueing delay
-	// under overload is charged to the element (open-loop discipline).
-	// The sleep is coarse on purpose: OS timers cannot pace per-element
-	// gaps of a few microseconds, so the generator only sleeps when it
-	// is more than pacingSlack ahead and otherwise releases a small
-	// burst — the intended-time stamps keep the accounting exact. The
-	// sleep itself runs inside a Block region so pacing never holds a
-	// worker slot; the no-sleep fast path is a plain clock read.
-	const pacingSlack = time.Millisecond
+	// arrive is the open-loop arrival schedule: elements are due in bursts,
+	// each at the end of the burstPeriod its intended arrival time i/rate
+	// falls in, because OS timers cannot pace gaps of a few microseconds.
+	// The first element of a burst waits for the due time — asleep inside
+	// a Block region, so that pacing never holds a worker slot, until
+	// sleepMargin before it, then yielding — and the due time is the stamp
+	// of the whole burst. An element is therefore never released before
+	// its stamp, and when the generator itself runs late the stamp stays
+	// the intended time, so queueing delay under overload is charged to
+	// the element (open-loop discipline).
+	var stamp int64
 	arrive := func(c *swan.Frame, i int) int64 {
 		offered++
 		if cfg.Rate <= 0 {
 			return time.Since(start).Nanoseconds()
 		}
-		target := int64(float64(i) / cfg.Rate * 1e9)
-		if d := time.Duration(target) - time.Since(start); d > pacingSlack {
+		period := burstPeriod.Nanoseconds()
+		due := (int64(float64(i)/cfg.Rate*1e9)/period + 1) * period
+		if due == stamp {
+			return stamp
+		}
+		if d := time.Duration(due) - sleepMargin - time.Since(start); d > 0 {
 			c.Block(func() { time.Sleep(d) })
 		}
-		return target
+		for time.Since(start) < time.Duration(due) {
+			runtime.Gosched()
+		}
+		stamp = due
+		return stamp
 	}
 	complete := func(stamp int64) {
 		now := time.Since(start).Nanoseconds()
 		if ttfr < 0 {
 			ttfr = now
 		}
+		if now < stamp {
+			negative++ // hist.Record would clip it to 0
+		}
 		h.Record(now - stamp)
 	}
 
+	var data []byte
+	if cfg.Workload == "dedup" {
+		// Generated before the clock starts: the stamps are relative to
+		// start, and building the input is not the pipeline's latency.
+		data = dedup.GenerateInput(42, cfg.Items*16*1024, 0.5)
+	}
 	start = time.Now()
 	switch cfg.Workload {
 	case "streamstats":
@@ -108,7 +137,6 @@ func MeasureLatency(cfg LatencyConfig) LatencyReport {
 		// Items coarse chunks at ~16 KiB each; light stage costs keep the
 		// run latency-bound rather than compute-bound.
 		o := dedup.Options{CoarseAvg: 16 * 1024, FineAvg: 2 * 1024, MaxFactor: 4, DedupRounds: 1, OutputRounds: 1}
-		data := dedup.GenerateInput(42, cfg.Items*16*1024, 0.5)
 		dedup.RunSharded(rt, data, o, dedup.ShardedConfig{
 			Shards:   cfg.Shards,
 			Bound:    cfg.Bound,
@@ -128,6 +156,7 @@ func MeasureLatency(cfg LatencyConfig) LatencyReport {
 		Rate:        cfg.Rate,
 		Offered:     offered,
 		Completed:   h.Count(),
+		Negative:    negative,
 		WallSeconds: wall,
 		TTFR:        ttfr,
 		P50:         h.Quantile(0.50),
@@ -152,13 +181,13 @@ func Latency(c Config) *Table {
 	for _, shards := range []int{1, 4} {
 		reports = append(reports, MeasureLatency(LatencyConfig{
 			Workload: "dedup", Shards: shards, Workers: c.MaxCores,
-			Items: 256 * c.Scale, Rate: 2_000,
+			Items: 256 * c.Scale, Rate: 500,
 		}))
 	}
 	return LatencyTable(
 		"Open-loop latency under fixed-rate load (sharded pipelines)",
 		reports,
-		"Latency is completion time minus *intended* arrival time (open-loop: queueing under overload is charged to the element, no coordinated omission). Percentiles from an HDR-style log-linear histogram, <= 1/32 relative error.",
+		"Latency is completion time minus the due time of the element's arrival burst (bursts every 5 ms; open-loop: queueing under overload is charged to the element, no coordinated omission). Early counts elements that completed before their stamp and must be 0. Percentiles from an HDR-style log-linear histogram, <= 1/32 relative error.",
 	)
 }
 
@@ -166,7 +195,7 @@ func Latency(c Config) *Table {
 func LatencyTable(title string, reports []LatencyReport, notes ...string) *Table {
 	t := &Table{
 		Title:  title,
-		Header: []string{"Workload", "Shards", "Workers", "Rate/s", "Completed", "TTFR", "p50", "p99", "p999", "max"},
+		Header: []string{"Workload", "Shards", "Workers", "Rate/s", "Completed", "Early", "TTFR", "p50", "p99", "p999", "max"},
 		Notes:  notes,
 	}
 	ns := func(v int64) string { return time.Duration(v).Round(time.Microsecond).String() }
@@ -181,6 +210,7 @@ func LatencyTable(title string, reports []LatencyReport, notes ...string) *Table
 			fmt.Sprintf("%d", r.Workers),
 			rate,
 			fmt.Sprintf("%d", r.Completed),
+			fmt.Sprintf("%d", r.Negative),
 			ns(r.TTFR), ns(r.P50), ns(r.P99), ns(r.P999), ns(r.Max),
 		})
 	}

@@ -7,7 +7,9 @@ import (
 
 // TestMeasureLatencySmoke runs each workload briefly through the
 // open-loop harness and checks the accounting invariants: every offered
-// element completes, the percentiles are ordered, and TTFR is set.
+// element completes, none of them before the time it is stamped with
+// (the generator never releases early), the percentiles are ordered, and
+// TTFR is set.
 func TestMeasureLatencySmoke(t *testing.T) {
 	for _, cfg := range []LatencyConfig{
 		{Workload: "streamstats", Shards: 2, Workers: 4, Items: 20_000, Rate: 2_000_000},
@@ -17,6 +19,9 @@ func TestMeasureLatencySmoke(t *testing.T) {
 		r := MeasureLatency(cfg)
 		if r.Completed == 0 || r.Completed != r.Offered {
 			t.Fatalf("%s: completed %d of %d offered", cfg.Workload, r.Completed, r.Offered)
+		}
+		if r.Negative != 0 {
+			t.Fatalf("%s: %d of %d elements completed before their arrival stamp", cfg.Workload, r.Negative, r.Completed)
 		}
 		if r.TTFR < 0 {
 			t.Fatalf("%s: TTFR never recorded", cfg.Workload)

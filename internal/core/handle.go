@@ -280,3 +280,18 @@ func (p *Popper[T]) ConsumeRead(n int) {
 		}
 	}
 }
+
+// reserve settles the flow decision for up to want scalar pushes at
+// once: it blocks, like Push, until the bound grants at least one credit,
+// takes and meters as many as it grants (want whole on an unbounded
+// queue) and returns that count. The caller then publishes exactly that
+// many values through append1, one at a time — the shard workers' split
+// of a push into batched accounting and eager publication (shard.go);
+// the poison check stays with the caller, per value. Reserved credits
+// count as occupancy until the values are popped.
+func (p *Pusher[T]) reserve(want int) int {
+	if fl := p.q.flow; fl != nil {
+		return int(fl.acquire(p.qv.vs.Frame, int64(want)))
+	}
+	return want
+}

@@ -24,9 +24,14 @@ import (
 // Flow control is per shard: the shard input and result queues are
 // bounded (credit-based backpressure, flow.go), so one slow shard blocks
 // only its own router pushes once its bound fills — siblings keep
-// draining up to their own bounds, and total in-flight data is capped at
-// roughly N×2×Bound values. The router and merger loops run entirely on
-// bound handles and are allocation-free in steady state.
+// draining up to their own bounds. Every stage moves what its input
+// already holds in one bulk transfer of up to batch = min(256, Bound)
+// elements (see Launch), so besides its two queues a shard's values may
+// sit in the router's staged span, the worker's popped batch and the
+// merger's prefetched results: at most 2×Bound + 3×batch values per
+// shard are in flight, N times that in total. The router, worker and
+// merger loops run entirely on bound handles and buffers allocated once
+// per Launch, and are allocation-free in steady state.
 //
 // Program-order discipline (visibility, §2.3 rule 4): producers into
 // In() must be spawned before Launch, and the consumer of Out() must be
@@ -68,7 +73,8 @@ type ShardConfig struct {
 	Shards int
 	// Bound caps each per-shard input and result queue (default
 	// DefaultShardBound). It is the isolation budget: a blocked shard
-	// holds at most 2×Bound values plus one in each stalled task's hand.
+	// holds at most 2×Bound values in its queues plus one batch of
+	// min(256, Bound) in each of router, worker and merger.
 	Bound int
 	// SegCap overrides the hyperqueue segment capacity (0 = default).
 	SegCap int
@@ -165,10 +171,36 @@ func (s *Sharded[I, O]) DebugChainSegments(f *sched.Frame) uint64 {
 	return n
 }
 
+// shardBatchCap is the most elements a fan-out stage moves in one bulk
+// transfer; the batch of one fan-out is min(shardBatchCap, Bound).
+const shardBatchCap = 256
+
 // Launch spawns the fan-out tasks — router, one worker per shard, merger
 // — on the owning frame, in that (program) order. It must be called
 // exactly once, from the task body that created the Sharded, after the
 // In-side producers were spawned.
+//
+// Every stage moves elements in batches. One PopInto takes what the
+// stage's input holds right now, up to batch = min(shardBatchCap, Bound),
+// and the stage hands all of it on before it looks at its input again:
+// no stage waits to fill a batch. A stage blocks in Empty() on an empty
+// input, exactly where an element-at-a-time loop would, and holds nothing
+// unpublished when it does. With Bound = 1 the batch is one element and
+// the same code moves one element at a time.
+//
+// Staging cannot deadlock. The router may park on shard A's credits
+// while it holds staged values for shard B, and the merger may be
+// waiting for one of those. The wait cycle that would close is
+// router → A.in's credits → worker A → A.out's credits → merger → a
+// staged B value → router. It needs A.in and A.out both full, 2·Bound
+// values the merger has not taken. The route queue is unbounded and the
+// route span is published before any shard span, so the merger holds
+// every entry of the batch the router is flushing and has merged all
+// that precede the B entry it waits on — every entry of every earlier
+// batch among them. The 2·Bound values on shard A therefore belong to
+// the batch in the router's hands, which has at most Bound. Workers and
+// merger only ever take values out of the bounded queues early, which
+// returns credits and blocks nobody.
 func (s *Sharded[I, O]) Launch(f *sched.Frame) {
 	if f != s.owner {
 		panic("swan: Sharded.Launch must be called on the frame that created it")
@@ -178,11 +210,13 @@ func (s *Sharded[I, O]) Launch(f *sched.Frame) {
 	}
 	s.launched = true
 	n := s.cfg.Shards
+	batch := min(shardBatchCap, s.cfg.Bound)
 
-	// Router: pop the ingress stream in serial order, append each value
-	// to its shard's queue and the shard index to the route queue. The
-	// route queue is the merge schedule: it records arrival order once,
-	// so the merger needs no timestamps or sequence numbers.
+	// Router: pop a batch of the ingress stream, stage each value on its
+	// shard, publish the batch's shard indices on the route queue and then
+	// each shard's staged span. The route queue is the merge schedule: it
+	// records arrival order once, so the merger needs no timestamps or
+	// sequence numbers.
 	routerDeps := make([]sched.Dep, 0, n+2)
 	routerDeps = append(routerDeps, Pop(s.in), Push(s.route))
 	for i := range s.inQ {
@@ -195,19 +229,42 @@ func (s *Sharded[I, O]) Launch(f *sched.Frame) {
 		for i := range pushers {
 			pushers[i] = s.inQ[i].BindPush(c)
 		}
+		buf := make([]I, batch)
+		shards := make([]int32, batch)
+		staged := make([][]I, n)
+		for i := range staged {
+			staged[i] = make([]I, 0, batch)
+		}
 		mod := uint64(n)
 		for !in.Empty() {
-			v := in.Pop()
-			sh := int32(s.part(v) % mod)
-			pushers[sh].Push(v)
-			rt.Push(sh)
+			k := in.PopInto(buf)
+			for i, v := range buf[:k] {
+				sh := int32(s.part(v) % mod)
+				shards[i] = sh
+				staged[sh] = append(staged[sh], v)
+			}
+			clear(buf[:k]) // the values live on in staged
+			rt.PushSlice(shards[:k])
+			for sh, vs := range staged {
+				if len(vs) == 0 {
+					continue
+				}
+				pushers[sh].PushSlice(vs) // parks on this shard's credits only
+				clear(vs)
+				staged[sh] = vs[:0]
+			}
 		}
 	}, routerDeps...)
 
 	// Shard workers: each consumes its own queue in routed order and
 	// emits one result per value. The worker factory runs inside the
 	// task body so it can bind per-task state (reducer handles, local
-	// tables) before the steady-state loop.
+	// tables) before the steady-state loop. Only the accounting is
+	// batched — one credit return for the popped batch, one reservation
+	// for as many results as the result queue's budget grants. Result i
+	// is published before fn sees element i+1: fn is user code of
+	// unbounded cost, and a worker that sat on finished results until its
+	// batch was done would stall the merger for batch × cost.
 	for i := range s.inQ {
 		shard := i
 		deps := make([]sched.Dep, 0, len(s.deps)+2)
@@ -217,16 +274,28 @@ func (s *Sharded[I, O]) Launch(f *sched.Frame) {
 			fn := s.work(c, shard)
 			in := s.inQ[shard].BindPop(c)
 			out := s.resQ[shard].BindPush(c)
+			buf := make([]I, batch)
 			for !in.Empty() {
-				out.Push(fn(in.Pop()))
+				k := in.PopInto(buf)
+				for i := 0; i < k; {
+					granted := out.reserve(k - i) // waits for at least one credit
+					for _, v := range buf[i : i+granted] {
+						out.q.checkFailed() // a poisoned fan-out stops within one element
+						out.append1(fn(v))
+					}
+					i += granted
+				}
+				clear(buf[:k])
 			}
 		}, deps...)
 	}
 
-	// Merger: replay the routing decisions, popping each shard's next
-	// result in arrival order. Every route entry is matched by exactly
-	// one eventual result on that shard (workers are 1-in-1-out), so Pop
-	// blocks only transiently, never on a permanently empty queue.
+	// Merger: replay the routing decisions a batch at a time, serving
+	// each shard's results from a buffer refilled by PopInto, and publish
+	// the merged run with one PushSlice. Every route entry is matched by
+	// exactly one eventual result on that shard (workers are 1-in-1-out),
+	// so the merger waits on a shard only transiently — and before it
+	// waits it publishes the run merged so far.
 	mergerDeps := make([]sched.Dep, 0, n+3)
 	mergerDeps = append(mergerDeps, Pop(s.route), Push(s.out), doneDep{s.drained})
 	for i := range s.resQ {
@@ -239,9 +308,37 @@ func (s *Sharded[I, O]) Launch(f *sched.Frame) {
 		for i := range poppers {
 			poppers[i] = s.resQ[i].BindPop(c)
 		}
+		shards := make([]int32, batch)
+		run := make([]O, 0, batch) // merged, not yet published
+		results := make([][]O, n)  // shard sh's prefetch buffer ...
+		ready := make([][]O, n)    // ... and the part of it not yet merged
+		for i := range results {
+			results[i] = make([]O, batch)
+		}
+		var zero O
+		flush := func() {
+			out.PushSlice(run)
+			clear(run)
+			run = run[:0]
+		}
 		for !rt.Empty() {
-			sh := rt.Pop()
-			out.Push(poppers[sh].Pop())
+			k := rt.PopInto(shards)
+			for _, sh := range shards[:k] {
+				if len(ready[sh]) == 0 {
+					buf := results[sh]
+					got := poppers[sh].PopInto(buf)
+					if got == 0 {
+						flush()
+						buf[0] = poppers[sh].Pop() // waits for the worker
+						got = 1
+					}
+					ready[sh] = buf[:got]
+				}
+				run = append(run, ready[sh][0])
+				ready[sh][0] = zero
+				ready[sh] = ready[sh][1:]
+			}
+			flush()
 		}
 	}, mergerDeps...)
 }

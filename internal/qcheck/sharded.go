@@ -1,6 +1,10 @@
 package qcheck
 
-import "repro/swan"
+import (
+	"runtime"
+
+	"repro/swan"
+)
 
 // ShardedProgram is a randomized check for the swan.Sharded fan-out:
 // a pseudo-random value stream, a seed-derived content partition and a
@@ -9,7 +13,9 @@ import "repro/swan"
 // in arrival order). The geometry (shard count, queue bound, segment
 // capacity) is drawn from the seed too, biased toward the deadlock-prone
 // corners: tiny bounds, more shards than workers, single-element
-// streams.
+// streams, streams a little longer than two of the fan-out's batches, and
+// a transform that yields or blocks on a seed-chosen subset of the
+// elements, so that stages meet each other's batches half-moved.
 type ShardedProgram struct {
 	Seed   uint64
 	Values int
@@ -19,6 +25,9 @@ type ShardedProgram struct {
 
 	vals []uint64
 	mult uint64
+
+	slowEvery uint64 // the transform stalls on about one element in slowEvery; 0 = on none
+	slowKey   uint64
 }
 
 func shardedMix(x uint64) uint64 {
@@ -49,10 +58,38 @@ func GenerateSharded(seed uint64) *ShardedProgram {
 	for i := range p.vals {
 		p.vals[i] = next()
 	}
+	// Draws added later come last, so that a seed keeps the geometry and
+	// the values it always had.
+	p.slowEvery = []uint64{0, 0, 5, 61}[next()%4]
+	p.slowKey = next()
+	if batch := min(256, p.Bound); p.Values <= 2*batch && next()%2 == 0 {
+		for n := 2*batch + 1 + int(next()%64); p.Values < n; p.Values++ {
+			p.vals = append(p.vals, next())
+		}
+	}
 	return p
 }
 
 func (p *ShardedProgram) transform(v uint64) uint64 { return shardedMix(v * p.mult) }
+
+// work is one shard's transform: p.transform, stalling first on the slow
+// elements — half of them yield the processor, half leave the worker slot
+// through Frame.Block.
+func (p *ShardedProgram) work(w *swan.Frame, shard int) func(uint64) uint64 {
+	if p.slowEvery == 0 {
+		return p.transform
+	}
+	return func(v uint64) uint64 {
+		if h := shardedMix(v ^ p.slowKey); h%p.slowEvery == 0 {
+			if h>>63 == 0 {
+				runtime.Gosched()
+			} else {
+				w.Block(runtime.Gosched)
+			}
+		}
+		return p.transform(v)
+	}
+}
 
 // Check runs the program on a fresh runtime and reports whether the
 // egress stream matches the serial elision.
@@ -76,9 +113,7 @@ func (p *ShardedProgram) RunOn(f *swan.Frame) (ok bool, chains uint64) {
 		s = swan.NewSharded(c,
 			swan.ShardConfig{Shards: p.Shards, Bound: p.Bound, SegCap: p.SegCap},
 			func(v uint64) uint64 { return v },
-			func(w *swan.Frame, shard int) func(uint64) uint64 {
-				return p.transform
-			})
+			p.work)
 		c.Spawn(func(w *swan.Frame) {
 			pu := s.In().BindPush(w)
 			pu.PushSlice(p.vals)

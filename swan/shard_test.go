@@ -1,6 +1,9 @@
 package swan_test
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -107,40 +110,70 @@ func TestShardedTinyBoundsAndCounts(t *testing.T) {
 	}
 }
 
-// TestShardedBackpressureIsolation proves the per-shard isolation claim:
-// with shard 0's worker gated shut, shard 1 must keep processing up to
-// its own bound — a blocked sibling stalls nothing but itself — and
-// after the gate opens the egress stream is still in arrival order.
+// shardBatch mirrors the fan-out's batch size: every stage moves up to
+// min(256, Bound) elements per bulk transfer (core.Sharded.Launch).
+func shardBatch(bound int) int { return min(256, bound) }
+
+// fanOutHolds renders what each queue of a named fan-out holds, for the
+// watchdogs below: values the stages have popped but not yet pushed on
+// are the gaps between one queue's popped and the next one's pushed.
+func fanOutHolds(rt *swan.Runtime) string {
+	var b strings.Builder
+	for _, q := range swan.Stats(rt).Queues {
+		fmt.Fprintf(&b, "\n  %-16s pushed %4d popped %4d (bound %d)", q.Name, q.Pushed, q.Popped, q.Bound)
+	}
+	return b.String()
+}
+
+// TestShardedBackpressureIsolation proves the per-shard isolation claim
+// at tiny bounds: with one shard's worker gated shut on its first value,
+// the other shard keeps processing — a blocked sibling stalls nothing but
+// itself — yet only boundedly far ahead, the whole fan-out pins at most
+// 2·Bound + 3·batch values per shard, and after the gate opens the egress
+// stream is still in arrival order. The stream alternates between two
+// shards. Jamming shard 0 parks the router on the first span it flushes,
+// with the other shard's share of that batch still staged; jamming
+// shard 1, the mirror, parks it on the last span, the other's already out.
 func TestShardedBackpressureIsolation(t *testing.T) {
-	const bound = 8
+	for _, bound := range []int{1, 2, 8} {
+		for _, jam := range []int{0, 1} {
+			t.Run(fmt.Sprintf("bound=%d/jam=%d", bound, jam), func(t *testing.T) {
+				testBackpressureIsolation(t, bound, jam)
+			})
+		}
+	}
+}
+
+func testBackpressureIsolation(t *testing.T, bound, jam int) {
+	const shards = 2
 	const perShard = 64
+	batch := shardBatch(bound)
 	gate := make(chan struct{})
-	var shard1Done atomic.Int64
+	var freeDone atomic.Int64 // values the free shard's stage function has seen
 	var got []uint64
+	rt := swan.NewWithPolicy(4, swan.PolicySteal)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		rt := swan.NewWithPolicy(4, swan.PolicySteal)
 		rt.Run(func(f *swan.Frame) {
-			s := swan.NewSharded(f, swan.ShardConfig{Shards: 2, Bound: bound},
+			s := swan.NewSharded(f, swan.ShardConfig{Shards: shards, Bound: bound, Name: "iso"},
 				func(v uint64) uint64 { return v }, // even → shard 0, odd → shard 1
 				func(c *swan.Frame, shard int) func(uint64) uint64 {
 					first := true
 					return func(v uint64) uint64 {
-						if shard == 0 && first {
+						if shard == jam && first {
 							first = false
 							c.Block(func() { <-gate })
 						}
-						if shard == 1 {
-							shard1Done.Add(1)
+						if shard != jam {
+							freeDone.Add(1)
 						}
 						return v
 					}
 				})
 			f.Spawn(func(c *swan.Frame) {
 				p := s.In().BindPush(c)
-				// Interleaved even/odd: element 0 hits shard 0 and jams it.
-				for i := 0; i < 2*perShard; i++ {
+				for i := 0; i < shards*perShard; i++ {
 					p.Push(uint64(i))
 				}
 			}, swan.Push(s.In()))
@@ -155,37 +188,211 @@ func TestShardedBackpressureIsolation(t *testing.T) {
 		})
 	}()
 
-	// With shard 0 jammed (its first element never finishes), shard 1
-	// must still process at least its result-queue bound: the merger is
-	// stuck waiting on shard 0 (arrival order), so shard 1 fills its
-	// result queue and stops at its own bound — not at zero.
+	// With the jammed shard's first value never finishing, the merger is
+	// stuck on it (arrival order), so the free shard runs until its result
+	// queue is full — not zero. It was handed every value routed before
+	// the batch on which the router parked, and its share of that batch
+	// too when its span is flushed first (jam = 1): the jammed shard takes
+	// at least Bound + 1 values before the router parks, so the free one
+	// gets at least that many less the half batch that may stay staged.
+	atLeast := int64(min(bound, bound+1-batch/2))
+	if jam == 1 {
+		atLeast = int64(bound)
+	}
 	deadline := time.Now().Add(10 * time.Second)
-	for shard1Done.Load() < bound {
+	for freeDone.Load() < atLeast {
 		if time.Now().After(deadline) {
-			t.Fatalf("shard 1 processed only %d values while shard 0 was blocked; want >= %d (its bound)",
-				shard1Done.Load(), bound)
+			t.Fatalf("free shard processed only %d values while shard %d was blocked; want >= %d%s",
+				freeDone.Load(), jam, atLeast, fanOutHolds(rt))
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// And isolation is bounded, too: shard 1 cannot run unboundedly far
-	// ahead — at most bound results + bound queued inputs + one in hand.
-	if n := shard1Done.Load(); n > 2*bound+1 {
-		t.Fatalf("shard 1 processed %d values while the merger was stuck; bound %d should cap it at %d",
-			n, bound, 2*bound+1)
+	time.Sleep(20 * time.Millisecond) // let every stage run into its bound
+	// Isolation is bounded, too. The free shard's stage function runs only
+	// with a result credit in hand, so it ran at most Bound times plus what
+	// the merger took out of the result queue — one prefetched batch.
+	if n := freeDone.Load(); n > int64(bound+batch) {
+		t.Errorf("free shard processed %d values while the merger was stuck; bound %d caps it at %d",
+			n, bound, bound+batch)
+	}
+	// And the fan-out as a whole pins at most 2·Bound + 3·batch values per
+	// shard: two full queues, the router's staged span, the worker's
+	// popped batch and the merger's prefetched results.
+	var taken, merged uint64
+	for _, q := range swan.Stats(rt).Queues {
+		switch q.Name {
+		case "iso.in":
+			taken = q.Popped
+		case "iso.out":
+			merged = q.Pushed
+		}
+	}
+	if held, limit := taken-merged, uint64(shards*(2*bound+3*batch)); held > limit {
+		t.Errorf("fan-out holds %d values with shard %d blocked; bound %d caps it at %d%s",
+			held, jam, bound, limit, fanOutHolds(rt))
 	}
 	close(gate)
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("pipeline did not drain after the gate opened")
+		t.Fatalf("pipeline did not drain after the gate opened%s", fanOutHolds(rt))
 	}
-	if len(got) != 2*perShard {
-		t.Fatalf("%d results, want %d", len(got), 2*perShard)
+	if len(got) != shards*perShard {
+		t.Fatalf("%d results, want %d", len(got), shards*perShard)
 	}
 	for i, v := range got {
 		if v != uint64(i) {
 			t.Fatalf("result[%d] = %d, want %d (arrival order broken)", i, v, i)
 		}
+	}
+}
+
+// TestShardedEagerPublication pins that a shard worker publishes result
+// i before it calls the stage function on element i+1, however many
+// elements its bulk pop handed it: the stage function's call on a
+// shard's next element blocks until the egress consumer has received
+// that shard's previous one. The 64 elements are in In() before Launch,
+// so the router's and each worker's first PopInto take their whole share
+// at once; a worker that computed its batch and then published it would
+// hang here on its second element.
+func TestShardedEagerPublication(t *testing.T) {
+	for _, policy := range []swan.SpawnPolicy{swan.PolicySteal, swan.PolicyGoroutine} {
+		for _, workers := range []int{1, 4} {
+			for _, shards := range []int{1, 2} {
+				t.Run(fmt.Sprintf("policy=%v/workers=%d/shards=%d", policy, workers, shards), func(t *testing.T) {
+					testEagerPublication(t, policy, workers, shards)
+				})
+			}
+		}
+	}
+}
+
+func testEagerPublication(t *testing.T, policy swan.SpawnPolicy, workers, shards int) {
+	const n = 64
+	vals := make([]uint64, n)
+	received := make([]chan struct{}, n) // closed when the egress consumer has element i
+	for i := range vals {
+		vals[i] = uint64(i)
+		received[i] = make(chan struct{})
+	}
+	inHand := make([]atomic.Int64, shards) // the element each worker's stage function is in, -1 when in none
+	for i := range inHand {
+		inHand[i].Store(-1)
+	}
+	var egress atomic.Int64
+	rt := swan.NewWithPolicy(workers, policy)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rt.Run(func(f *swan.Frame) {
+			s := swan.NewSharded(f, swan.ShardConfig{Shards: shards, Name: "eager"},
+				func(v uint64) uint64 { return v },
+				func(c *swan.Frame, shard int) func(uint64) uint64 {
+					return func(v uint64) uint64 {
+						inHand[shard].Store(int64(v))
+						if prev := int(v) - shards; prev >= 0 { // this shard's previous element
+							c.Block(func() { <-received[prev] })
+						}
+						inHand[shard].Store(-1)
+						return v
+					}
+				})
+			in := s.In().BindPush(f)
+			in.PushSlice(vals)
+			s.Launch(f)
+			f.Spawn(func(c *swan.Frame) {
+				p := s.Out().BindPop(c)
+				for !p.Empty() {
+					v := p.Pop()
+					if v != uint64(egress.Load()) {
+						t.Errorf("egress[%d] = %d (arrival order broken)", egress.Load(), v)
+					}
+					close(received[v])
+					egress.Add(1)
+				}
+			}, swan.Pop(s.Out()))
+			f.Sync()
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		hands := ""
+		for sh := range inHand {
+			hands += fmt.Sprintf("\n  worker %d in stage function on element %d", sh, inHand[sh].Load())
+		}
+		t.Fatalf("fan-out hung with %d of %d elements at the egress: a worker is holding back finished results%s%s",
+			egress.Load(), n, hands, fanOutHolds(rt))
+	}
+	if egress.Load() != n {
+		t.Fatalf("%d results, want %d", egress.Load(), n)
+	}
+}
+
+// TestShardedSteadyStateAllocs runs the fan-out at two stream lengths on
+// one warmed runtime and wants the same allocations from both: what a run
+// allocates is its set-up — tasks, queues, the per-Launch batch buffers —
+// and nothing per element or per batch. One worker on one P, so that no
+// thief and no second core skews the count, and the lone worker runs each
+// stage to its end in turn: a bound the stream never fills (no credit
+// park, which allocates) and a stream that fits the segment pool (In()
+// and the route queue are unbounded). What is left is a park more or
+// less per run, about 12 allocations, hence the best of several runs and
+// a slack of 16 — one allocation per batch in one stage would add 54,
+// one per element 14 000.
+func TestShardedSteadyStateAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rt := swan.New(1)
+	var count int
+	run := func(n int) {
+		count = 0
+		rt.Run(func(f *swan.Frame) {
+			s := swan.NewSharded(f, swan.ShardConfig{Shards: 2, Bound: 1 << 14, SegCap: 1024},
+				func(v uint64) uint64 { return v },
+				func(c *swan.Frame, shard int) func(uint64) uint64 {
+					return func(v uint64) uint64 { return v + 1 }
+				})
+			f.Spawn(func(c *swan.Frame) {
+				p := s.In().BindPush(c)
+				for i := 0; i < n; i++ {
+					p.Push(uint64(i))
+				}
+			}, swan.Push(s.In()))
+			s.Launch(f)
+			f.Spawn(func(c *swan.Frame) {
+				p := s.Out().BindPop(c)
+				for !p.Empty() {
+					p.Pop()
+					count++
+				}
+			}, swan.Pop(s.Out()))
+			f.Sync()
+		})
+		if count != n {
+			t.Fatalf("%d results, want %d", count, n)
+		}
+	}
+	// fewest is the least one run of n elements allocates, once the pools
+	// have settled at that length.
+	fewest := func(n int) uint64 {
+		for i := 0; i < 3; i++ {
+			run(n)
+		}
+		least := ^uint64(0)
+		var before, after runtime.MemStats
+		for i := 0; i < 20; i++ {
+			runtime.ReadMemStats(&before)
+			run(n)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		return least
+	}
+	const short, long, slack = 2_000, 16_000, 16
+	allocsLong, allocsShort := fewest(long), fewest(short)
+	if allocsLong > allocsShort+slack {
+		t.Errorf("%d allocations for %d elements, %d for %d: %.4f per extra element, want 0",
+			allocsLong, long, allocsShort, short, float64(allocsLong-allocsShort)/(long-short))
 	}
 }
 
