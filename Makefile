@@ -8,7 +8,7 @@ BENCH_SET  ?= SteadyStateAllocs|QueueChurn|PrepareCompleteContention|BatchedSpaw
 BENCH_TIME ?= 300ms
 BENCH_OUT  ?= BENCH_pr8.json
 
-.PHONY: all build vet fmt-check test race bench-smoke bench-json quickcheck soak soak-ci docs ci
+.PHONY: all build vet fmt-check test race wake-stress bench-smoke bench-json quickcheck soak soak-ci docs ci
 
 # soak knobs: steps per policy, base seed, and the config preset
 # (internal/soak: ci / default / heavy). The nightly workflow raises
@@ -41,6 +41,14 @@ test:
 # the sharded workloads (streamstats, dedup).
 race:
 	$(GO) test -race -short ./internal/... ./swan
+
+# The park/wake protocol is a handful of orderings between two goroutines;
+# what a single pass proves is little, so its tests — wake once per park,
+# no lost wakeup at one-slot segments and bounds of 0, 1 and 2, eager
+# publication through the batched stages — run 20 times at 1, 2 and 4 Ps
+# under the race detector.
+wake-stress:
+	$(GO) test -race -count=20 -cpu 1,2,4 -run 'WakeOnce|NoLostWakeup|EagerPublication' ./internal/core ./swan
 
 # Compile-and-run every benchmark once so benchmark code cannot bit-rot.
 bench-smoke:
@@ -115,4 +123,4 @@ soak-ci:
 docs:
 	$(GO) test -run Example -v ./swan
 
-ci: build vet fmt-check test race bench-smoke quickcheck soak-ci docs
+ci: build vet fmt-check test race wake-stress bench-smoke quickcheck soak-ci docs

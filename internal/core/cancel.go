@@ -14,9 +14,11 @@ import (
 //
 //   - Cancellation (internal/sched cancel.go): every park site of the
 //     queue — Empty/Pop waits, consumer-role waits, pop-ticket gates,
-//     credit parks — checks the frame's cancel scope under the same
-//     mutex its waker broadcasts under, so parked tasks of a canceled
-//     run wake promptly and unwind with sched.CancelUnwind.
+//     budget parks — registers the queue (or its flow state) as the
+//     frame's waker through Frame.Park and checks the frame's cancel
+//     scope under the same mutex WakeParked broadcasts under, so parked
+//     tasks of a canceled run wake promptly and unwind with
+//     sched.CancelUnwind.
 //   - Poisoning (Queue.Fail): a failed queue wakes all parked producers
 //     and consumers with the failure and makes subsequent operations
 //     unwind with sched.AbortUnwind, which cancels the run's scope with
@@ -62,13 +64,9 @@ func (q *Queue[T]) Fail(err error) {
 	if !q.failed.CompareAndSwap(nil, &failCell{err: err}) {
 		return
 	}
-	q.lockCons()
-	q.cond.Broadcast()
-	q.consMu.Unlock()
+	q.WakeParked()
 	if fl := q.flow; fl != nil {
-		fl.prodMu.Lock()
-		fl.prodCond.Broadcast()
-		fl.prodMu.Unlock()
+		fl.WakeParked()
 	}
 }
 
@@ -90,10 +88,10 @@ func (q *Queue[T]) checkFailed() {
 	}
 }
 
-// broadcastCons is the park-site cancellation waker: scopes invoke it
-// (via OnCancel) to flush every sleeper on the consumer cond so they
-// re-check their predicates.
-func (q *Queue[T]) broadcastCons() {
+// WakeParked is the consumer-side cancellation waker (sched.Waker): a
+// canceled scope calls it to flush every sleeper on the consumer cond so
+// they re-check their predicates.
+func (q *Queue[T]) WakeParked() {
 	q.lockCons()
 	q.cond.Broadcast()
 	q.consMu.Unlock()
@@ -101,12 +99,14 @@ func (q *Queue[T]) broadcastCons() {
 
 // raiseStop converts a park-site stop cause into the matching unwind:
 // the queue's own poison aborts, everything else is a cancellation.
-func (q *Queue[T]) raiseStop(stop error) {
-	if err := q.failErr(); err != nil && err == stop {
+func raiseStop(poison, stop error) {
+	if poison != nil && poison == stop {
 		panic(sched.AbortUnwind{Err: stop})
 	}
 	panic(sched.CancelUnwind{Err: stop})
 }
+
+func (q *Queue[T]) raiseStop(stop error) { raiseStop(q.failErr(), stop) }
 
 // TryPush appends v if the queue's budget admits it right now and
 // reports whether it did; a false return is a shed decision — counted in
@@ -116,11 +116,9 @@ func (q *Queue[T]) raiseStop(stop error) {
 func (p *Pusher[T]) TryPush(v T) bool {
 	q := p.q
 	q.checkFailed()
-	if fl := q.flow; fl != nil {
-		if !fl.tryAcquire() {
-			fl.sheds.Add(1)
-			return false
-		}
+	if fl := q.flow; fl != nil && fl.grant(1) == 0 {
+		fl.sheds.Add(1)
+		return false
 	}
 	p.append1(v)
 	return true
@@ -129,7 +127,7 @@ func (p *Pusher[T]) TryPush(v T) bool {
 // PushTimeout appends v, waiting at most d for budget. It returns nil on
 // success; ErrTimeout — counted as a shed — when the deadline fires
 // first; the queue's poison cause after a Fail; or the scope's
-// cancellation cause. The fast path (credits available) is identical to
+// cancellation cause. The fast path (budget available) is identical to
 // Push and allocates nothing; the deadline timer exists only while the
 // producer is actually parked.
 func (p *Pusher[T]) PushTimeout(v T, d time.Duration) error {
@@ -137,18 +135,19 @@ func (p *Pusher[T]) PushTimeout(v T, d time.Duration) error {
 	if err := q.failErr(); err != nil {
 		return err
 	}
-	if fl := q.flow; fl != nil && fl.bound > 0 {
-		if !fl.tryAcquire() {
-			err := fl.takeCreditTimeout(p.qv.vs.Frame, time.Now().Add(d))
-			if err != nil {
+	if fl := q.flow; fl != nil {
+		var deadline time.Time
+		for fl.grant(1) == 0 {
+			if deadline.IsZero() {
+				deadline = time.Now().Add(d)
+			}
+			if err := fl.awaitBudget(p.qv.vs.Frame, deadline); err != nil {
 				if err == ErrTimeout {
 					fl.sheds.Add(1)
 				}
 				return err
 			}
 		}
-	} else if fl != nil {
-		fl.acquire(p.qv.vs.Frame, 1)
 	}
 	p.append1(v)
 	return nil
@@ -189,87 +188,10 @@ func (p *Popper[T]) PopTimeout(d time.Duration) (T, error) {
 }
 
 // failedErr is the flow-side view of the owning queue's poison cell,
-// checked by the credit-park predicates.
+// checked by the budget-park predicates.
 func (fl *flowState) failedErr() error {
-	if fl.failedp == nil {
-		return nil
-	}
 	if fc := fl.failedp.Load(); fc != nil {
 		return fc.err
 	}
 	return nil
-}
-
-// tryAcquire takes one credit without blocking and meters the push;
-// false means the budget is exhausted right now (the shed decision).
-func (fl *flowState) tryAcquire() bool {
-	if fl.bound > 0 {
-		for {
-			cur := fl.credits.Load()
-			if cur <= 0 {
-				return false
-			}
-			if fl.credits.CompareAndSwap(cur, cur-1) {
-				break
-			}
-		}
-	}
-	fl.meterPush(1)
-	return true
-}
-
-// takeCreditTimeout is takeCredits for exactly one credit with an
-// absolute deadline: it parks like waitForCredit but additionally wakes
-// when the deadline fires, and reports the stop cause instead of
-// unwinding. The timer is allocated per park, never on the spin path.
-func (fl *flowState) takeCreditTimeout(f *sched.Frame, deadline time.Time) error {
-	sc := f.CancelScope()
-	for {
-		cur := fl.credits.Load()
-		if cur > 0 {
-			if fl.credits.CompareAndSwap(cur, cur-1) {
-				fl.meterPush(1)
-				return nil
-			}
-			continue
-		}
-		if err := fl.failedErr(); err != nil {
-			return err
-		}
-		if sc.Canceled() {
-			return sc.Err()
-		}
-		if !time.Now().Before(deadline) {
-			return ErrTimeout
-		}
-		fl.prodBlocks.Add(1)
-		var fired bool
-		f.Block(func() {
-			unreg := sc.OnCancel(fl.broadcastProd)
-			defer unreg()
-			tm := time.AfterFunc(time.Until(deadline), func() {
-				fl.prodMu.Lock()
-				fired = true
-				fl.prodCond.Broadcast()
-				fl.prodMu.Unlock()
-			})
-			defer tm.Stop()
-			fl.prodMu.Lock()
-			fl.pushWaiters.Add(1)
-			fl.prodSleepers++
-			for fl.credits.Load() <= 0 && !fired && fl.failedErr() == nil && !sc.Canceled() {
-				fl.prodCond.Wait()
-			}
-			fl.prodSleepers--
-			fl.pushWaiters.Add(-1)
-			fl.prodMu.Unlock()
-		})
-	}
-}
-
-// broadcastProd is the producer-side cancellation waker.
-func (fl *flowState) broadcastProd() {
-	fl.prodMu.Lock()
-	fl.prodCond.Broadcast()
-	fl.prodMu.Unlock()
 }

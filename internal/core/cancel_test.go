@@ -17,9 +17,9 @@ var cancelPolicies = []sched.SpawnPolicy{sched.PolicySteal, sched.PolicyGoroutin
 
 // waitStat polls the provider's queue meters until pred holds for the
 // named queue, or gives up after 10s. It is how the tests observe "the
-// task is actually parked" without touching queue internals: the block
-// counters are incremented before the park, and the parked task cannot
-// make progress until woken.
+// task is actually parked" without touching queue internals: a block
+// counter is incremented under the park's lock right before each sleep,
+// and the parked task cannot make progress until woken.
 func waitStat(rt *sched.Runtime, name string, pred func(QueueStat) bool) bool {
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -52,97 +52,102 @@ func wedge(f *sched.Frame, nameA, nameB string) (qa, qb *Queue[int]) {
 	return qa, qb
 }
 
-// TestCancelWakesParkedProducer checks that canceling the run's scope
-// wakes a producer credit-parked on a full bounded queue: the run
-// quiesces and Run returns the cause.
-func TestCancelWakesParkedProducer(t *testing.T) {
+// TestTeardownReachesParkedTasks is the teardown table: each way of ending
+// a wait — a scope cancel, a queue Fail, a deadline — landing on a parked
+// producer and on a parked consumer. Every cell first observes the park
+// (the block meters count sleeps), then stops it; the wait must end
+// promptly with the right cause, and the run must quiesce.
+func TestTeardownReachesParkedTasks(t *testing.T) {
 	cause := errors.New("teardown")
-	for _, policy := range cancelPolicies {
-		t.Run(policy.String(), func(t *testing.T) {
-			rt := sched.NewWithPolicy(4, policy)
-			err := rt.Run(func(f *sched.Frame) {
-				qa := NewWithCapacity[int](f, 4, Bounded(1), Named("cwp.qa"))
-				f.Spawn(func(p *sched.Frame) {
-					pu := qa.BindPush(p)
-					for i := 0; i < 20; i++ {
-						pu.Push(i)
-					}
-				}, Push(qa))
-				var parked bool
-				f.Block(func() {
-					parked = waitStat(rt, "cwp.qa", func(s QueueStat) bool { return s.ProducerBlocks > 0 })
-				})
-				if !parked {
-					t.Error("producer never parked on the exhausted budget")
-				}
-				f.CancelScope().Cancel(cause)
-				f.Sync()
-			})
-			if !errors.Is(err, cause) {
-				t.Fatalf("Run returned %v, want %v", err, cause)
-			}
-		})
-	}
-}
-
-// TestCancelWakesParkedConsumer checks the other half of the acceptance
-// scenario: with the full wedge standing — producer credit-parked,
-// consumer parked mid-Pop on undecided emptiness — a scope cancel wakes
-// both and Run returns ErrCanceled.
-func TestCancelWakesParkedConsumer(t *testing.T) {
-	for _, policy := range cancelPolicies {
-		t.Run(policy.String(), func(t *testing.T) {
-			rt := sched.NewWithPolicy(4, policy)
-			err := rt.Run(func(f *sched.Frame) {
-				wedge(f, "cwc.qa", "cwc.qb")
-				var parked bool
-				f.Block(func() {
-					parked = waitStat(rt, "cwc.qa", func(s QueueStat) bool { return s.ProducerBlocks > 0 }) &&
-						waitStat(rt, "cwc.qb", func(s QueueStat) bool { return s.ConsumerBlocks > 0 })
-				})
-				if !parked {
-					t.Error("wedge never fully parked")
-				}
-				f.CancelScope().Cancel(nil)
-				f.Sync()
-			})
-			if !errors.Is(err, sched.ErrCanceled) {
-				t.Fatalf("Run returned %v, want ErrCanceled", err)
-			}
-		})
-	}
-}
-
-// TestFailWakesWedge checks queue poisoning: Fail on the bounded queue
-// wakes its credit-parked producer, the run unwinds, Run returns the
-// poison cause, the cause is observable via FailErr, and the first
-// failure wins over later ones.
-func TestFailWakesWedge(t *testing.T) {
-	cause := errors.New("downstream gone")
-	for _, policy := range cancelPolicies {
-		t.Run(policy.String(), func(t *testing.T) {
-			rt := sched.NewWithPolicy(4, policy)
-			var qa *Queue[int]
-			err := rt.Run(func(f *sched.Frame) {
-				qa, _ = wedge(f, "fww.qa", "fww.qb")
-				var parked bool
-				f.Block(func() {
-					parked = waitStat(rt, "fww.qa", func(s QueueStat) bool { return s.ProducerBlocks > 0 })
-				})
-				if !parked {
-					t.Error("producer never parked on the exhausted budget")
-				}
-				qa.Fail(cause)
-				qa.Fail(errors.New("second, must lose"))
-				f.Sync()
-			})
-			if !errors.Is(err, cause) {
-				t.Fatalf("Run returned %v, want %v", err, cause)
-			}
+	producerParked := func(s QueueStat) bool { return s.ProducerBlocks > 0 }
+	consumerParked := func(s QueueStat) bool { return s.ConsumerBlocks > 0 }
+	cells := []struct {
+		name string
+		want error // what Run returns
+		body func(t *testing.T, rt *sched.Runtime, f *sched.Frame)
+	}{
+		{"cancel/producer", cause, func(t *testing.T, rt *sched.Runtime, f *sched.Frame) {
+			wedge(f, "td.qa", "td.qb")
+			awaitParked(t, rt, f, "td.qa", producerParked)
+			f.CancelScope().Cancel(cause)
+		}},
+		{"cancel/consumer", cause, func(t *testing.T, rt *sched.Runtime, f *sched.Frame) {
+			wedge(f, "td.qa", "td.qb")
+			awaitParked(t, rt, f, "td.qa", producerParked)
+			awaitParked(t, rt, f, "td.qb", consumerParked)
+			f.CancelScope().Cancel(cause)
+		}},
+		{"fail/producer", cause, func(t *testing.T, rt *sched.Runtime, f *sched.Frame) {
+			qa, _ := wedge(f, "td.qa", "td.qb")
+			awaitParked(t, rt, f, "td.qa", producerParked)
+			qa.Fail(cause)
+			qa.Fail(errors.New("second, must lose"))
 			if got := qa.FailErr(); !errors.Is(got, cause) {
-				t.Fatalf("FailErr = %v, want the first cause %v", got, cause)
+				t.Errorf("FailErr = %v, want the first cause %v", got, cause)
 			}
-		})
+		}},
+		{"fail/consumer", cause, func(t *testing.T, rt *sched.Runtime, f *sched.Frame) {
+			_, qb := wedge(f, "td.qa", "td.qb")
+			awaitParked(t, rt, f, "td.qb", consumerParked)
+			qb.Fail(cause) // the consumer's unwind cancels the scope, which frees the producer
+		}},
+		{"timeout/producer", nil, func(t *testing.T, rt *sched.Runtime, f *sched.Frame) {
+			qa := NewWithCapacity[int](f, 4, Bounded(1), Named("td.qa"))
+			pu := qa.BindPush(f)
+			pu.Push(1)
+			if e := pu.PushTimeout(2, 20*time.Millisecond); e != ErrTimeout {
+				t.Errorf("PushTimeout on a full queue returned %v, want ErrTimeout", e)
+			}
+			if s, _ := qa.Metrics(); s.ProducerBlocks == 0 || s.Sheds != 1 {
+				t.Errorf("timed-out push: %d blocks, %d sheds, want a park and one shed", s.ProducerBlocks, s.Sheds)
+			}
+			qa.Pop(f)
+		}},
+		{"timeout/consumer", nil, func(t *testing.T, rt *sched.Runtime, f *sched.Frame) {
+			qb := NewWithCapacity[int](f, 4, Named("td.qb"))
+			gate := make(chan struct{})
+			f.Spawn(func(p *sched.Frame) { p.Block(func() { <-gate }) }, Push(qb)) // keeps emptiness undecided
+			po := qb.BindPop(f)
+			if _, e := po.PopTimeout(20 * time.Millisecond); e != ErrTimeout {
+				t.Errorf("PopTimeout on an undecided queue returned %v, want ErrTimeout", e)
+			}
+			if s, _ := qb.Metrics(); s.ConsumerBlocks == 0 {
+				t.Error("timed-out pop never parked")
+			}
+			close(gate)
+		}},
+	}
+	for _, policy := range cancelPolicies {
+		for _, c := range cells {
+			t.Run(policy.String()+"/"+c.name, func(t *testing.T) {
+				rt := sched.NewWithPolicy(4, policy)
+				done := make(chan error, 1)
+				go func() {
+					done <- rt.Run(func(f *sched.Frame) {
+						c.body(t, rt, f)
+						f.Sync()
+					})
+				}()
+				select {
+				case err := <-done:
+					if !errors.Is(err, c.want) {
+						t.Fatalf("Run returned %v, want %v", err, c.want)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("teardown did not reach the parked task: the run is wedged")
+				}
+			})
+		}
+	}
+}
+
+// awaitParked waits, giving up f's capacity, until the named queue's meter
+// shows the park.
+func awaitParked(t *testing.T, rt *sched.Runtime, f *sched.Frame, name string, parked func(QueueStat) bool) {
+	var ok bool
+	f.Block(func() { ok = waitStat(rt, name, parked) })
+	if !ok {
+		t.Errorf("%s: the task never parked", name)
 	}
 }
 

@@ -91,10 +91,7 @@
 //     ShareToPredecessor, SyncFold, FoldFrontier) operate under regMu.
 //   - Lock order: consMu before regMu, always. Code holding regMu must
 //     release it before touching consMu (Complete does exactly that);
-//     consumer decision paths nest regMu inside consMu. In the legacy
-//     single-mutex mode (NewLegacyLocked, kept for the lock-sharding
-//     ablation benchmark) both roles collapse onto consMu and the nested
-//     acquisition is a no-op.
+//     consumer decision paths nest regMu inside consMu.
 //   - Single-writer fields need no lock: Queue.headView is written only
 //     by the task currently holding the consumer role (ticket
 //     arbitration makes that exclusive; a Complete-side frontier fold
@@ -104,7 +101,8 @@
 //     producer holding a local tail pointer to it, segment.head only by
 //     the consumer-role holder (invariants 5 and 2 below).
 //   - Atomics: Queue.waiters (producers read it lock-free to skip the
-//     wake-up lock), Queue.everProducer (set under regMu when the first
+//     wake-up lock; the consumer sets it under consMu at every wait-loop
+//     turn and the one push that signals clears it), Queue.everProducer (set under regMu when the first
 //     push-privileged task registers, read lock-free by the
 //     TryPop/ReadSlice miss path to skip the locked frontier fold,
 //     cleared only by Recycle), Queue.consMuAcquires (a debug-mode

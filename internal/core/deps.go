@@ -86,18 +86,18 @@ func (d *queueDep[T]) Wait(child *sched.Frame) {
 		return
 	}
 	sc := child.CancelScope()
-	unreg := sc.OnCancel(q.broadcastCons)
-	defer unreg()
-	q.lockCons()
-	q.sleepers++
-	for cqv.parentQV.popServed.Load() != cqv.popTicket {
-		if q.failErr() != nil || sc.Canceled() {
-			break
+	child.Park(q, func() {
+		q.lockCons()
+		q.sleepers++
+		for cqv.parentQV.popServed.Load() != cqv.popTicket {
+			if q.failErr() != nil || sc.Canceled() {
+				break
+			}
+			q.cond.Wait()
 		}
-		q.cond.Wait()
-	}
-	q.sleepers--
-	q.consMu.Unlock()
+		q.sleepers--
+		q.consMu.Unlock()
+	})
 	if cqv.parentQV.popServed.Load() != cqv.popTicket {
 		if err := q.failErr(); err != nil {
 			q.raiseStop(err)
@@ -155,11 +155,11 @@ func (d *queueDep[T]) Complete(parent, child *sched.Frame) {
 	// consumer, link the frontier on its behalf first.
 	q.lockCons()
 	if pc := q.parked; pc != nil {
-		q.lockRegNested()
+		q.lockReg()
 		if !q.visibleProducerLive(pc.vs.Frame) {
 			q.linkFrontier(pc)
 		}
-		q.unlockRegNested()
+		q.unlockReg()
 	}
 	q.wakeLocked()
 	q.consMu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/sched"
 )
@@ -14,20 +15,26 @@ import (
 // producer that outruns its consumer grows the segment chain (and the
 // heap) without limit and nothing observes it. This file adds the
 // producer-side dual of the consumer's emptyWait: an optional per-queue
-// element budget (Bounded) enforced by credit accounting, plus the
-// occupancy/high-water/block metering that makes a running pipeline
-// observable (Named, QueueStat, the swan metrics endpoint).
+// element budget (Bounded) derived from the two counters the meter keeps
+// anyway, plus the occupancy/high-water/block metering that makes a
+// running pipeline observable (Named, QueueStat, the swan metrics
+// endpoint).
 //
-// Credits. A bounded queue starts with bound credits. Every push takes
-// one credit before it touches a segment; every value the consumer moves
-// past — Pop, TryPop, PopInto, ConsumeRead — returns one. When credits
-// run out the producer spins briefly (the consumer is usually one pop
-// away), then parks on a producer-side condition variable inside
-// Frame.Block, so the scheduler releases the task's run token and a
-// blocked producer can never starve the consumer of execution capacity.
-// Wake-ups follow the same sleeper-counting rule as the consumer cond
-// (wakeLocked): Signal when exactly one producer sleeps, Broadcast
-// otherwise.
+// Budget. pushed and popped are monotone counters; the free budget of a
+// bounded queue is bound − (pushed − popped) and is stored nowhere. A
+// push claims budget with one CAS on pushed before it touches a segment,
+// judged against poppedSeen, the producers' cached copy of popped — a
+// stale copy only understates the free budget, so the bound stays exact.
+// popped itself is read only when the cache says "full" or when the
+// high-water mark is about to rise. Every value the consumer moves past —
+// Pop, TryPop, PopInto, ConsumeRead — is one Add on popped. The two
+// counters live on separate cache lines, so in steady state each side
+// writes one word the other side does not write. With no budget left the
+// producer spins briefly (the consumer is usually one pop away), then
+// parks on a producer-side condition variable inside Frame.Park, so the
+// scheduler releases the task's run token and a blocked producer can
+// never starve the consumer of execution capacity. One pop wakes it and
+// every later pop touches no lock (pushWaiters, as in wakeConsumer).
 //
 // Lock order. prodMu is a leaf lock, disjoint from the consMu/regMu
 // hierarchy: it is only ever taken with no other queue lock held (the
@@ -39,7 +46,7 @@ import (
 // Frame.Block, which starts a compensating worker (PolicySteal) or
 // releases the slot (PolicyGoroutine), so the consumer always has
 // capacity to run, exactly as the consumer-side emptyWait guarantees the
-// mirror case. Queue-level: credits are granted in arrival order while
+// mirror case. Queue-level: budget is granted in arrival order while
 // the consumer drains in serial program order, so a program whose
 // producers run concurrently out of serial order can fill the bound with
 // values the consumer cannot yet reach and wedge — see the in-order
@@ -49,8 +56,8 @@ import (
 
 // creditSpins bounds the producer's yield-spin on an exhausted budget
 // before it falls back to the capacity-releasing park, mirroring the
-// consumer's emptySpins rationale: in steady state the next credit is
-// one pop away.
+// consumer's emptySpins rationale: in steady state the next pop is
+// moments away.
 const creditSpins = 64
 
 // QueueOption configures a queue at construction (New,
@@ -78,8 +85,9 @@ func Bounded(n int) QueueOption {
 
 // Named meters the queue under the given name: occupancy, high-water and
 // block/wake counters become visible in the runtime's QueueStats (and
-// the swan metrics endpoint). Metering costs two atomic adds per element
-// on the push/pop paths; plain unbounded queues pay only a nil check.
+// the swan metrics endpoint). Metering costs one atomic add per element
+// on each of the push and pop paths, on separate cache lines; plain
+// unbounded queues pay only a nil check.
 func Named(name string) QueueOption {
 	return func(o *queueOpts) { o.name = name }
 }
@@ -87,181 +95,270 @@ func Named(name string) QueueOption {
 // QueueStat is a point-in-time snapshot of one metered queue's gauges
 // and counters, reported by PoolProvider.QueueStats (runtime-wide) and
 // Queue.Metrics (single queue). Counters are cumulative across Recycle.
+// A wake is counted by the one push (or pop) that signals a sleeper, and
+// a block is one sleep on the condition variable, so ConsumerWakes ≤
+// ConsumerBlocks and ProducerWakes ≤ ProducerBlocks at all times.
 type QueueStat struct {
-	Name           string // Named value, or "queue-N" for auto-named bounded queues
-	Bound          int    // element budget; 0 = unbounded (metering only)
-	Occupancy      int64  // values currently buffered (pushed - popped)
-	HighWater      int64  // maximum occupancy ever observed
+	Name      string // Named value, or "queue-N" for auto-named bounded queues
+	Bound     int    // element budget; 0 = unbounded (metering only)
+	Occupancy int64  // values currently buffered (pushed - popped)
+	// HighWater is the largest occupancy a push has observed. It is never
+	// overstated — a push that would raise it first re-reads popped, so
+	// pops the producer had not yet seen are subtracted — and never
+	// exceeds Bound; it may miss a peak by the pops that raced the read.
+	HighWater      int64
 	Pushed         uint64 // values ever pushed
 	Popped         uint64 // values ever popped
-	ProducerBlocks uint64 // producer parks on an exhausted budget
-	ProducerWakes  uint64 // credit releases that found a parked producer
-	ConsumerBlocks uint64 // consumer parks waiting for data (emptyWait)
-	ConsumerWakes  uint64 // pushes that found a parked consumer
+	ProducerBlocks uint64 // producer sleeps on an exhausted budget
+	ProducerWakes  uint64 // pops that signalled a parked producer
+	ConsumerBlocks uint64 // consumer sleeps waiting for data (emptyWait)
+	ConsumerWakes  uint64 // pushes that signalled a parked consumer
 	Sheds          uint64 // values refused by TryPush / timed-out PushTimeout
 }
+
+// cacheLine separates the words the producer side writes per element
+// from the word the consumer side writes per element.
+const cacheLine = 64
 
 // flowState is the per-queue flow-control block, allocated only for
 // bounded or named queues; q.flow == nil is the plain unbounded case and
 // keeps the hot paths branch-predictable with zero extra atomics.
 type flowState struct {
 	name  string
-	bound int64 // 0 = metering only, no credit accounting
-
-	// credits is the remaining element budget. Producers take with a CAS
-	// loop (partial grants allowed — PushSlice moves what it can and
-	// comes back for the rest); consumers return with a plain Add.
-	credits atomic.Int64
-
-	// Metering. pushed/popped are the occupancy decomposition (monotone
-	// counters race-free to read independently); highWater is maintained
-	// by CAS-max on the push side only.
-	pushed    atomic.Uint64
-	popped    atomic.Uint64
-	highWater atomic.Int64
-
-	prodBlocks atomic.Uint64
-	prodWakes  atomic.Uint64
-	consBlocks atomic.Uint64
-	consWakes  atomic.Uint64
-	sheds      atomic.Uint64
+	bound int64 // 0 = metering only, no budget
 
 	// failedp aliases the owning queue's poison cell (cancel.go) so the
 	// producer-side park predicates can observe a Fail without a
 	// reference to the generic Queue type. Immutable after construction.
 	failedp *atomic.Pointer[failCell]
 
-	// Producer park state. pushWaiters mirrors Queue.waiters: the
-	// consumer's release probes it with one atomic load and skips prodMu
-	// entirely in the no-waiter steady state. Lost wakeups are
-	// impossible for the same reason as on the consumer side: a producer
-	// increments pushWaiters under prodMu before re-checking credits, so
-	// a releasing consumer either observes the waiter (and its wake
-	// serializes through prodMu) or added the credits before the
-	// producer's re-check (and the producer does not wait).
+	// Slow-path meters: written only around a park, a wake or a shed.
+	prodBlocks atomic.Uint64
+	prodWakes  atomic.Uint64
+	consBlocks atomic.Uint64
+	consWakes  atomic.Uint64
+	sheds      atomic.Uint64
+
+	// Producer park state. pushWaiters mirrors Queue.waiters: non-zero
+	// means a producer is parked and has not been signalled since its last
+	// re-check. A parking producer stores 1 under prodMu before it
+	// re-reads popped; the consumer adds to popped before it loads
+	// pushWaiters. So either the consumer sees the registration, or the
+	// producer sees the pop (the argument of wakeConsumer, mirrored).
 	pushWaiters  atomic.Int32
 	prodMu       sync.Mutex
-	prodCond     *sync.Cond
+	prodCond     sync.Cond
 	prodSleepers int // producers inside the cond.Wait loop; guarded by prodMu
+
+	// The producers' line: pushed is the claim word, poppedSeen their
+	// cached popped (never ahead of it), highWater a CAS-max.
+	_          [cacheLine]byte
+	pushed     atomic.Uint64
+	poppedSeen atomic.Uint64
+	highWater  atomic.Int64
+	// The consumer's line.
+	_      [cacheLine]byte
+	popped atomic.Uint64
+	_      [cacheLine]byte
 }
 
-func newFlowState(name string, bound int) *flowState {
-	fl := &flowState{name: name, bound: int64(bound)}
-	fl.credits.Store(int64(bound))
-	fl.prodCond = sync.NewCond(&fl.prodMu)
+func newFlowState(name string, bound int, failed *atomic.Pointer[failCell]) *flowState {
+	fl := &flowState{name: name, bound: int64(bound), failedp: failed}
+	fl.prodCond.L = &fl.prodMu
 	return fl
 }
 
-// acquire blocks until at least one credit is available, takes up to
-// want of them, meters the pushes, and returns the number taken. On an
-// unbounded metered queue it never blocks and grants want whole.
-func (fl *flowState) acquire(f *sched.Frame, want int64) int64 {
-	take := want
-	if fl.bound > 0 {
-		take = fl.takeCredits(f, want)
+// grant claims up to want elements of budget without blocking, meters
+// them as pushed and returns how many it claimed; 0 means the queue is
+// full right now. Partial grants are allowed — PushSlice moves what it
+// can and comes back for the rest. An unbounded metered queue grants
+// want whole. This is the only place budget is taken.
+func (fl *flowState) grant(want int64) int64 {
+	if fl.bound == 0 {
+		fl.noteOccupancy(fl.pushed.Add(uint64(want)))
+		return want
 	}
-	fl.meterPush(take)
-	return take
-}
-
-// meterPush records take granted pushes: the occupancy decomposition and
-// the CAS-max high-water mark.
-func (fl *flowState) meterPush(take int64) {
-	occ := int64(fl.pushed.Add(uint64(take)) - fl.popped.Load())
 	for {
-		hw := fl.highWater.Load()
-		if occ <= hw || fl.highWater.CompareAndSwap(hw, occ) {
-			break
-		}
-	}
-}
-
-func (fl *flowState) takeCredits(f *sched.Frame, want int64) int64 {
-	for {
-		cur := fl.credits.Load()
-		if cur > 0 {
-			take := min(want, cur)
-			if fl.credits.CompareAndSwap(cur, cur-take) {
-				return take
+		// If pushed moves between the load and the CAS the claim is
+		// retried, so a poppedSeen newer than this pushed is never used.
+		pushed := fl.pushed.Load()
+		free := fl.bound - int64(pushed-fl.poppedSeen.Load())
+		if free <= 0 {
+			if free = fl.bound - int64(pushed-fl.refreshPopped()); free <= 0 {
+				return 0
 			}
-			continue
 		}
-		fl.waitForCredit(f)
+		take := min(want, free)
+		if fl.pushed.CompareAndSwap(pushed, pushed+uint64(take)) {
+			fl.noteOccupancy(pushed + uint64(take))
+			return take
+		}
 	}
 }
 
-// waitForCredit spins briefly and then parks the producer until the
-// budget is replenished — or until the queue is poisoned or the frame's
-// scope canceled, in which case the producer unwinds instead of holding
-// its park forever (the wedge a canceled bounded pipeline would
-// otherwise leave behind). The caller re-runs the CAS loop after a
-// credit wake: the wake is a hint, not a grant.
-func (fl *flowState) waitForCredit(f *sched.Frame) {
+// refreshPopped re-reads the consumer's counter into the producers'
+// cache. Racing producers may store an older value over a newer one; the
+// cache then understates popped, which is the safe direction.
+func (fl *flowState) refreshPopped() uint64 {
+	p := fl.popped.Load()
+	fl.poppedSeen.Store(p)
+	return p
+}
+
+// noteOccupancy raises the high-water mark after a push that moved the
+// counter to pushed. The cached popped gives an upper estimate of the
+// occupancy; only if that would raise the mark is popped re-read, so the
+// mark never counts values the consumer already took.
+func (fl *flowState) noteOccupancy(pushed uint64) {
+	hw := fl.highWater.Load()
+	if int64(pushed-fl.poppedSeen.Load()) <= hw {
+		return
+	}
+	occ := int64(pushed - fl.refreshPopped())
+	for occ > hw && !fl.highWater.CompareAndSwap(hw, occ) {
+		hw = fl.highWater.Load()
+	}
+}
+
+// free is the exact budget left, from the counters themselves: the park
+// predicate, which must not trust the cache.
+func (fl *flowState) free() int64 {
+	return fl.bound - int64(fl.pushed.Load()-fl.popped.Load())
+}
+
+// acquire blocks until the budget grants at least one element, claims up
+// to want of them and returns the number claimed. On an unbounded
+// metered queue it never blocks. A poisoned queue or a canceled scope
+// unwinds the producer instead of leaving it parked forever.
+func (fl *flowState) acquire(f *sched.Frame, want int64) int64 {
+	for {
+		if n := fl.grant(want); n > 0 {
+			return n
+		}
+		if stop := fl.awaitBudget(f, time.Time{}); stop != nil {
+			raiseStop(fl.failedErr(), stop)
+		}
+	}
+}
+
+// awaitBudget is the one producer park: it spins briefly, then sleeps
+// until a pop frees budget, and returns nil — the caller re-runs grant,
+// a wake is a hint, not a grant. A non-nil return is the reason to stop
+// waiting: the queue's poison cause, the scope's cancellation cause, or
+// ErrTimeout once deadline has passed (a zero deadline waits forever;
+// the timer exists only while the producer is actually parked).
+func (fl *flowState) awaitBudget(f *sched.Frame, deadline time.Time) error {
 	for i := 0; i < creditSpins; i++ {
 		runtime.Gosched()
-		if fl.credits.Load() > 0 {
-			return
+		if fl.free() > 0 {
+			return nil
 		}
 	}
 	sc := f.CancelScope()
-	if err := fl.failedErr(); err != nil {
-		panic(sched.AbortUnwind{Err: err})
-	}
-	if sc.Canceled() {
-		panic(sched.CancelUnwind{Err: sc.Err()})
-	}
-	fl.prodBlocks.Add(1)
-	f.Block(func() {
-		unreg := sc.OnCancel(fl.broadcastProd)
-		defer unreg()
-		fl.prodMu.Lock()
-		fl.pushWaiters.Add(1)
-		fl.prodSleepers++
-		for fl.credits.Load() <= 0 && fl.failedErr() == nil && !sc.Canceled() {
-			fl.prodCond.Wait()
+	for parked := false; ; parked = true {
+		if err := fl.failedErr(); err != nil {
+			return err
 		}
-		fl.prodSleepers--
-		fl.pushWaiters.Add(-1)
-		fl.prodMu.Unlock()
-	})
-	if err := fl.failedErr(); err != nil {
-		panic(sched.AbortUnwind{Err: err})
-	}
-	if sc.Canceled() {
-		panic(sched.CancelUnwind{Err: sc.Err()})
+		if sc.Canceled() {
+			return sc.Err()
+		}
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			return ErrTimeout
+		}
+		if parked {
+			return nil
+		}
+		f.Park(fl, func() {
+			dl := armDeadline(&fl.prodCond, deadline)
+			defer dl.stop()
+			fl.prodMu.Lock()
+			fl.prodSleepers++
+			for {
+				prev := fl.pushWaiters.Swap(1) // register, then re-check
+				if fl.free() > 0 || dl.fired() || fl.failedErr() != nil || sc.Canceled() {
+					// Leaving: keep a registration only if it is another
+					// sleeper's, still unanswered.
+					if fl.prodSleepers--; fl.prodSleepers == 0 {
+						prev = 0
+					}
+					fl.pushWaiters.Store(prev)
+					break
+				}
+				fl.prodBlocks.Add(1)
+				fl.prodCond.Wait()
+			}
+			fl.prodMu.Unlock()
+		})
 	}
 }
 
-// release returns n credits after the consumer advanced the head past n
-// values, and wakes parked producers. The steady-state cost on an
-// unblocked bounded queue is two atomic adds and one atomic load.
+// release records n values the consumer moved past and wakes a parked
+// producer. The steady-state cost is one atomic add and one atomic load;
+// only the first pop after a park takes prodMu.
 func (fl *flowState) release(n int64) {
 	fl.popped.Add(uint64(n))
-	if fl.bound == 0 {
-		return
-	}
-	fl.credits.Add(n)
 	if fl.pushWaiters.Load() == 0 {
 		return
 	}
-	fl.prodWakes.Add(1)
 	fl.prodMu.Lock()
-	switch fl.prodSleepers {
-	case 0:
-	case 1:
-		fl.prodCond.Signal()
-	default:
-		fl.prodCond.Broadcast()
+	if fl.pushWaiters.Load() != 0 {
+		fl.pushWaiters.Store(0)
+		fl.prodWakes.Add(1)
+		wakeSleepers(&fl.prodCond, fl.prodSleepers)
 	}
 	fl.prodMu.Unlock()
 }
 
-// rearm resets the credit budget to the full bound. Only Recycle calls
-// it, at a point where the queue is verified drained and no producer is
-// live, so no credits can be in flight.
-func (fl *flowState) rearm() {
-	if fl.bound > 0 {
-		fl.credits.Store(fl.bound)
+// WakeParked is the producer-side cancellation waker (sched.Waker).
+func (fl *flowState) WakeParked() {
+	fl.prodMu.Lock()
+	fl.prodCond.Broadcast()
+	fl.prodMu.Unlock()
+}
+
+// wakeSleepers wakes the sleepers of a condition variable whose lock the
+// caller holds: with exactly one counted sleeper a Signal suffices — the
+// wait set holds at most that goroutine, so the single futex wake either
+// reaches it or it is already awake re-checking its predicate — with
+// several only a Broadcast is safe.
+func wakeSleepers(c *sync.Cond, sleepers int) {
+	switch sleepers {
+	case 0:
+	case 1:
+		c.Signal()
+	default:
+		c.Broadcast()
+	}
+}
+
+// parkDeadline is the deadline of one timed park: when it passes, expired
+// turns true under the condition variable's lock and the sleepers are
+// woken to see it. A zero deadline arms nothing — the methods of a nil
+// *parkDeadline are no-ops — so an untimed park allocates nothing.
+type parkDeadline struct {
+	tm      *time.Timer
+	expired bool
+}
+
+func armDeadline(c *sync.Cond, deadline time.Time) *parkDeadline {
+	if deadline.IsZero() {
+		return nil
+	}
+	d := &parkDeadline{}
+	d.tm = time.AfterFunc(time.Until(deadline), func() {
+		c.L.Lock()
+		d.expired = true
+		c.Broadcast()
+		c.L.Unlock()
+	})
+	return d
+}
+
+func (d *parkDeadline) fired() bool { return d != nil && d.expired }
+
+func (d *parkDeadline) stop() {
+	if d != nil {
+		d.tm.Stop()
 	}
 }
 

@@ -221,28 +221,58 @@ func (p *Popper[T]) TryPop() (T, bool) {
 // gap.
 func (p *Popper[T]) PopInto(dst []T) int {
 	p.ensure()
+	return p.popInto(dst, true)
+}
+
+// popInto is PopInto after the role check. With fold unset a miss is
+// decided by the chain walk alone, without tryReachable's locked frontier
+// fold: for a caller that asks Empty next, which folds as it decides.
+func (p *Popper[T]) popInto(dst []T, fold bool) int {
+	q := p.q
 	n := 0
 	for n < len(dst) {
-		if !p.q.tryReachable(p.qv.vs.Frame, p.qv) {
+		if !q.reachableData() && !(fold && q.tryReachable(p.qv.vs.Frame, p.qv)) {
 			break
 		}
-		s := p.q.headView.Head
+		s := q.headView.Head
 		start, avail := s.contiguousReadable()
-		take := int64(len(dst) - n)
-		if take > avail {
-			take = avail
-		}
+		take := min(int64(len(dst)-n), avail)
 		copy(dst[n:], s.buf[start:start+take])
 		clear(s.buf[start : start+take]) // drop references for the garbage collector
 		s.head.Add(take)                 // release: frees the slots to the producer
 		n += int(take)
 	}
 	if n > 0 {
-		if fl := p.q.flow; fl != nil {
-			fl.release(int64(n)) // one batched credit return per call
+		if fl := q.flow; fl != nil {
+			fl.release(int64(n)) // one batched budget return per call
 		}
 	}
 	return n
+}
+
+// batchCap is the most elements a batch loop (PopBatches; the Sharded
+// router and merger) moves in one bulk transfer.
+const batchCap = 256
+
+// PopBatches is the consumer loop of every stage that moves elements in
+// batches: until the queue is permanently empty it takes what the queue
+// holds right now — one PopInto of up to min(256, limit) values, or 256
+// when limit < 1; stages pass their queue's Bound — and hands the batch
+// to fn. It never waits to fill a batch: it blocks only in Empty, holding
+// nothing fn has not seen. The budget of a bounded queue is returned at
+// the pop, before fn runs, so at most one batch beyond Bound is in
+// flight, in fn's hands. The batch aliases one buffer allocated per call
+// and is valid only until fn returns.
+func (p *Popper[T]) PopBatches(limit int, fn func(batch []T)) {
+	if limit < 1 || limit > batchCap {
+		limit = batchCap
+	}
+	buf := make([]T, limit)
+	for !p.Empty() {
+		k := p.popInto(buf, false)
+		fn(buf[:k])
+		clear(buf[:k])
+	}
 }
 
 // ReadSlice is Queue.ReadSlice through the binding: up to max

@@ -27,7 +27,7 @@
 //     structural folds (link, hand-off, deposit, sync fold, frontier
 //     fold, head sharing). The engine is lock-agnostic: the caller
 //     serializes calls, which lets the queue keep its split
-//     consMu/regMu locking and its legacy single-mutex ablation.
+//     consMu/regMu locking.
 //   - Obj[V, O] (object.go) is a self-locking hyperobject base for
 //     objects that do not need the queue's custom locking: it owns a
 //     mutex, the owner view set, the frame attachment and sync hooks,

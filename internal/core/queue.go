@@ -59,7 +59,6 @@ const DefaultSegmentCapacity = 256
 // consumer-role-owned; waiters is atomic.
 type Queue[T any] struct {
 	segCap int
-	legacy bool // NewLegacyLocked: both roles share consMu (ablation only)
 
 	// Consumer-side state.
 	consMu sync.Mutex
@@ -74,8 +73,9 @@ type Queue[T any] struct {
 	// by consMu; while it is non-nil and consMu is held, the parked
 	// frame cannot touch headView.
 	parked *qviews[T]
-	// waiters counts consumers blocked in Empty/Pop so producers can
-	// skip the wake-up lock entirely on the push fast path.
+	// waiters is non-zero while the consumer is parked in Empty/Pop and has
+	// not been signalled since its last re-check, so producers skip the
+	// wake-up lock on every push but the first after a park (wakeConsumer).
 	waiters atomic.Int32
 	// consShard caches the consumer-role holder's segment-pool shard for
 	// the recycle in reachableData (written in acquireConsumer).
@@ -112,8 +112,7 @@ type Queue[T any] struct {
 	// sync fold, frontier fold, head sharing) on the generic substrate
 	// (internal/core/hyper). The engine is lock-agnostic; every call
 	// that touches shared view-set state runs under regMu (possibly
-	// nested inside consMu), preserving the split-lock discipline and
-	// the legacy single-mutex ablation.
+	// nested inside consMu), preserving the split-lock discipline.
 	eng hyper.Engine[view[T], qviewOps[T]]
 
 	// flow is the bounded-capacity / metering block (flow.go), nil for
@@ -202,19 +201,6 @@ func New[T any](f *sched.Frame, opts ...QueueOption) *Queue[T] {
 // queue of the same element type and segment capacity (PoolProvider), so
 // even a freshly constructed queue starts on recycled segments.
 func NewWithCapacity[T any](f *sched.Frame, segCap int, opts ...QueueOption) *Queue[T] {
-	return newQueue[T](f, segCap, false, opts...)
-}
-
-// NewLegacyLocked creates a hyperqueue that funnels every structural
-// operation — Prepare, Complete, deposits, wake-ups — through the single
-// consumer mutex, the way the queue was locked before the registry lock
-// was split out. It exists only for BenchmarkPrepareCompleteContention,
-// the sharded-vs-single-mutex ablation; programs should use New.
-func NewLegacyLocked[T any](f *sched.Frame, segCap int) *Queue[T] {
-	return newQueue[T](f, segCap, true)
-}
-
-func newQueue[T any](f *sched.Frame, segCap int, legacy bool, opts ...QueueOption) *Queue[T] {
 	if segCap < 1 {
 		segCap = 1
 	}
@@ -222,12 +208,11 @@ func newQueue[T any](f *sched.Frame, segCap int, legacy bool, opts ...QueueOptio
 	for _, opt := range opts {
 		opt(&o)
 	}
-	q := &Queue[T]{segCap: segCap, legacy: legacy, owner: f, producers: make(map[*sched.Frame]struct{})}
+	q := &Queue[T]{segCap: segCap, owner: f, producers: make(map[*sched.Frame]struct{})}
 	q.cond = sync.NewCond(&q.consMu)
 	q.prov = ProviderOf(f.Runtime())
 	if o.bound > 0 || o.name != "" {
-		q.flow = newFlowState(o.name, o.bound)
-		q.flow.failedp = &q.failed
+		q.flow = newFlowState(o.name, o.bound, &q.failed)
 		q.prov.registerFlow(q.flow)
 	}
 	q.pool = poolFor[T](q.prov, segCap)
@@ -261,39 +246,12 @@ func (q *Queue[T]) lockCons() {
 // assert.
 func (q *Queue[T]) DebugConsLockAcquires() uint64 { return q.consMuAcquires.Load() }
 
-// lockReg acquires the producer-registry lock — consMu itself in legacy
-// single-mutex mode. The caller must not hold consMu (use lockRegNested
-// for that).
-func (q *Queue[T]) lockReg() {
-	if q.legacy {
-		q.lockCons()
-	} else {
-		q.regMu.Lock()
-	}
-}
+// lockReg acquires the producer-registry lock. Lock order: consMu
+// before regMu — a caller holding consMu may take regMu, never the
+// reverse.
+func (q *Queue[T]) lockReg() { q.regMu.Lock() }
 
-func (q *Queue[T]) unlockReg() {
-	if q.legacy {
-		q.consMu.Unlock()
-	} else {
-		q.regMu.Unlock()
-	}
-}
-
-// lockRegNested acquires the registry lock while consMu is already held
-// (the consMu-before-regMu order). In legacy mode the two are the same
-// mutex and the nested acquisition is a no-op.
-func (q *Queue[T]) lockRegNested() {
-	if !q.legacy {
-		q.regMu.Lock()
-	}
-}
-
-func (q *Queue[T]) unlockRegNested() {
-	if !q.legacy {
-		q.regMu.Unlock()
-	}
-}
+func (q *Queue[T]) unlockReg() { q.regMu.Unlock() }
 
 // viewsOf returns the view set frame f holds on q, or nil. A view set
 // that no longer names q has been retired with its task (putViews): the
@@ -355,59 +313,42 @@ func (q *Queue[T]) attachFreshSegment(qv *qviews[T]) {
 	q.eng.ShareToPredecessor(&qv.vs, &qv.scratch)
 }
 
-// wakeConsumer wakes a consumer blocked in Empty or Pop, if any. On the
-// sharded-lock path the check is a single atomic load, so a push with no
-// parked consumer — the steady state — touches no lock at all. Lost
-// wakeups are impossible: the consumer increments waiters under consMu
-// before its final reachability re-check, so a producer either observes
-// waiters > 0 (and its broadcast serializes with the consumer's wait
-// through consMu) or stored its value before the consumer's re-check
-// (and the consumer does not wait).
+// wakeConsumer wakes a consumer blocked in Empty or Pop, if any. The
+// check is a single atomic load, so a push with no parked consumer — the
+// steady state — touches no lock at all, and so does every push between
+// the one that signals a parked consumer and that consumer's next park:
+// the signalling push clears waiters under consMu, and the consumer sets
+// it again only at the top of its next wait-loop turn.
+//
+// Lost wakeups are impossible. The producer stores the tail and then
+// loads waiters; the consumer stores waiters (under consMu) and then
+// loads the tail in its reachability re-check. Go's atomics are
+// sequentially consistent, so either the producer sees the registration
+// or the consumer sees the value. A producer that sees zero because an
+// earlier push cleared it is covered too: that push signalled under
+// consMu while the consumer was inside Wait, so the consumer's next
+// re-check — which begins with a fresh store to waiters, after this
+// producer's load — comes after this producer's tail store.
 func (q *Queue[T]) wakeConsumer() {
-	if q.legacy {
-		// Legacy single-mutex behavior: every push takes the queue lock
-		// to test for waiters.
-		q.lockCons()
-		if q.waiters.Load() > 0 {
-			q.meterConsWake()
-			q.wakeLocked()
-		}
-		q.consMu.Unlock()
-		return
-	}
 	if q.waiters.Load() == 0 {
 		return
 	}
-	q.meterConsWake()
 	q.lockCons()
-	q.wakeLocked()
+	if q.waiters.Load() != 0 {
+		q.waiters.Store(0)
+		if fl := q.flow; fl != nil {
+			fl.consWakes.Add(1)
+		}
+		q.wakeLocked()
+	}
 	q.consMu.Unlock()
 }
 
-// meterConsWake counts a push that found a parked consumer — slow-path
-// only, so the meter never touches the wake-free steady state.
-func (q *Queue[T]) meterConsWake() {
-	if fl := q.flow; fl != nil {
-		fl.consWakes.Add(1)
-	}
-}
-
-// wakeLocked wakes every cond waiter that could make progress. With
-// exactly one registered sleeper a Signal suffices (single-consumer
-// queues never need a broadcast): the wait set holds at most that one
-// goroutine, so the single futex wake either reaches it or it is already
-// awake re-checking its predicate under consMu. With several sleepers
-// the classes are mixed (parked consumer, ticket waiters), so only a
-// Broadcast is safe. Caller holds consMu.
-func (q *Queue[T]) wakeLocked() {
-	switch q.sleepers {
-	case 0:
-	case 1:
-		q.cond.Signal()
-	default:
-		q.cond.Broadcast()
-	}
-}
+// wakeLocked wakes every cond waiter that could make progress: a Signal
+// with exactly one registered sleeper (single-consumer queues never need
+// a broadcast), a Broadcast when the classes are mixed (parked consumer,
+// ticket waiters). Caller holds consMu.
+func (q *Queue[T]) wakeLocked() { wakeSleepers(q.cond, q.sleepers) }
 
 // visibleProducerLive reports whether any live producer's values could
 // still become visible to consumer frame cf: a producer that precedes cf
@@ -445,9 +386,7 @@ func (q *Queue[T]) visibleProducerLive(cf *sched.Frame) bool {
 func (q *Queue[T]) acquireConsumer(f *sched.Frame, qv *qviews[T]) {
 	if qv.popServed.Load() != qv.popTickets.Load() {
 		sc := f.CancelScope()
-		f.Block(func() {
-			unreg := sc.OnCancel(q.broadcastCons)
-			defer unreg()
+		f.Park(q, func() {
 			q.lockCons()
 			q.sleepers++
 			for qv.popServed.Load() != qv.popTickets.Load() {
@@ -604,17 +543,17 @@ func (q *Queue[T]) emptyWaitStop(f *sched.Frame, qv *qviews[T], deadline time.Ti
 	var empty bool
 	var violation string
 	q.lockCons()
-	q.lockRegNested()
+	q.lockReg()
 	if !q.visibleProducerLive(f) {
 		empty, violation = q.decideEmptyLocked(qv)
-		q.unlockRegNested()
+		q.unlockReg()
 		q.consMu.Unlock()
 		if violation != "" {
 			panic(violation)
 		}
 		return empty, nil
 	}
-	q.unlockRegNested()
+	q.unlockReg()
 	q.consMu.Unlock()
 	for i := emptySpinsQuick; i < emptySpins; i++ {
 		runtime.Gosched()
@@ -622,32 +561,14 @@ func (q *Queue[T]) emptyWaitStop(f *sched.Frame, qv *qviews[T], deadline time.Ti
 			return false, nil
 		}
 	}
-	if fl := q.flow; fl != nil {
-		fl.consBlocks.Add(1)
-	}
-	f.Block(func() {
-		unreg := sc.OnCancel(q.broadcastCons)
-		defer unreg()
-		fired := false
-		if !deadline.IsZero() {
-			rem := time.Until(deadline)
-			if rem <= 0 {
-				stop = ErrTimeout
-				return
-			}
-			tm := time.AfterFunc(rem, func() {
-				q.lockCons()
-				fired = true
-				q.cond.Broadcast()
-				q.consMu.Unlock()
-			})
-			defer tm.Stop()
-		}
+	f.Park(q, func() {
+		dl := armDeadline(q.cond, deadline)
+		defer dl.stop()
 		q.lockCons()
-		q.waiters.Add(1)
 		q.parked = qv
 		q.sleepers++
 		for {
+			q.waiters.Store(1) // register, then re-check (wakeConsumer)
 			if q.reachableData() {
 				break
 			}
@@ -659,22 +580,25 @@ func (q *Queue[T]) emptyWaitStop(f *sched.Frame, qv *qviews[T], deadline time.Ti
 				stop = sc.Err()
 				break
 			}
-			if fired {
+			if dl.fired() {
 				stop = ErrTimeout
 				break
 			}
-			q.lockRegNested()
+			q.lockReg()
 			if !q.visibleProducerLive(f) {
 				empty, violation = q.decideEmptyLocked(qv)
-				q.unlockRegNested()
+				q.unlockReg()
 				break
 			}
-			q.unlockRegNested()
+			q.unlockReg()
+			if fl := q.flow; fl != nil {
+				fl.consBlocks.Add(1)
+			}
 			q.cond.Wait()
 		}
 		q.sleepers--
 		q.parked = nil
-		q.waiters.Add(-1)
+		q.waiters.Store(0)
 		q.consMu.Unlock()
 	})
 	if violation != "" {
@@ -749,14 +673,14 @@ func (q *Queue[T]) tryReachable(f *sched.Frame, qv *qviews[T]) bool {
 	}
 	var violation string
 	q.lockCons()
-	q.lockRegNested()
+	q.lockReg()
 	if !q.visibleProducerLive(f) {
 		q.linkFrontier(qv)
 		if debugChecks.Load() && !q.reachableData() {
 			violation = q.checkNoHiddenDataLocked(qv)
 		}
 	}
-	q.unlockRegNested()
+	q.unlockReg()
 	q.consMu.Unlock()
 	if violation != "" {
 		panic(violation)
@@ -804,7 +728,8 @@ func (q *Queue[T]) CanRecycle(f *sched.Frame) bool {
 // runtime-wide pool, a pooled segment is split into fresh queue and user
 // views (exactly as in NewWithCapacity), and the producer registry is
 // rearmed — including the never-had-a-producer state that enables the
-// lock-free TryPop/ReadSlice miss path.
+// lock-free TryPop/ReadSlice miss path. A bounded queue needs no reset:
+// drained means pushed == popped, which is the full budget.
 //
 // Only the owning task (the frame that created the queue) may call it,
 // at a point where every task granted privileges has completed — after a
@@ -820,18 +745,18 @@ func (q *Queue[T]) Recycle(f *sched.Frame) {
 		panic("hyperqueue: only the owning task may Recycle a queue")
 	}
 	q.lockCons()
-	q.lockRegNested()
+	q.lockReg()
 	switch {
 	case len(q.producers) > 0:
-		q.unlockRegNested()
+		q.unlockReg()
 		q.consMu.Unlock()
 		panic("hyperqueue: Recycle while push-privileged tasks are live")
 	case qv.vs.ChildHead != nil:
-		q.unlockRegNested()
+		q.unlockReg()
 		q.consMu.Unlock()
 		panic("hyperqueue: Recycle while tasks holding privileges on the queue are live")
 	case qv.popServed.Load() != qv.popTickets.Load():
-		q.unlockRegNested()
+		q.unlockReg()
 		q.consMu.Unlock()
 		panic("hyperqueue: Recycle before all pop-privileged tasks completed")
 	}
@@ -841,7 +766,7 @@ func (q *Queue[T]) Recycle(f *sched.Frame) {
 	q.linkFrontier(qv)
 	for s := q.headView.Head; s != nil; s = s.next.Load() {
 		if s.size() > 0 {
-			q.unlockRegNested()
+			q.unlockReg()
 			q.consMu.Unlock()
 			panic("hyperqueue: Recycle on a non-empty queue (drain it to permanent emptiness first)")
 		}
@@ -857,13 +782,7 @@ func (q *Queue[T]) Recycle(f *sched.Frame) {
 	q.headView, qv.vs.User = split(s0, q.nlctr)
 	qv.vs.Children, qv.vs.Right = emptyView[T](), emptyView[T]()
 	q.everProducer.Store(false)
-	if q.flow != nil {
-		// The drain check above proved every pushed value was popped, so
-		// all credits are home; the reset only matters after a recovered
-		// panic left the accounting torn.
-		q.flow.rearm()
-	}
-	q.unlockRegNested()
+	q.unlockReg()
 	q.consMu.Unlock()
 	q.prov.recycles.Add(1)
 }

@@ -171,17 +171,13 @@ func (s *Sharded[I, O]) DebugChainSegments(f *sched.Frame) uint64 {
 	return n
 }
 
-// shardBatchCap is the most elements a fan-out stage moves in one bulk
-// transfer; the batch of one fan-out is min(shardBatchCap, Bound).
-const shardBatchCap = 256
-
 // Launch spawns the fan-out tasks — router, one worker per shard, merger
 // — on the owning frame, in that (program) order. It must be called
 // exactly once, from the task body that created the Sharded, after the
 // In-side producers were spawned.
 //
 // Every stage moves elements in batches. One PopInto takes what the
-// stage's input holds right now, up to batch = min(shardBatchCap, Bound),
+// stage's input holds right now, up to batch = min(batchCap, Bound),
 // and the stage hands all of it on before it looks at its input again:
 // no stage waits to fill a batch. A stage blocks in Empty() on an empty
 // input, exactly where an element-at-a-time loop would, and holds nothing
@@ -210,7 +206,7 @@ func (s *Sharded[I, O]) Launch(f *sched.Frame) {
 	}
 	s.launched = true
 	n := s.cfg.Shards
-	batch := min(shardBatchCap, s.cfg.Bound)
+	batch := min(batchCap, s.cfg.Bound)
 
 	// Router: pop a batch of the ingress stream, stage each value on its
 	// shard, publish the batch's shard indices on the route queue and then
@@ -229,31 +225,28 @@ func (s *Sharded[I, O]) Launch(f *sched.Frame) {
 		for i := range pushers {
 			pushers[i] = s.inQ[i].BindPush(c)
 		}
-		buf := make([]I, batch)
 		shards := make([]int32, batch)
 		staged := make([][]I, n)
 		for i := range staged {
 			staged[i] = make([]I, 0, batch)
 		}
 		mod := uint64(n)
-		for !in.Empty() {
-			k := in.PopInto(buf)
-			for i, v := range buf[:k] {
+		in.PopBatches(batch, func(vs []I) {
+			for i, v := range vs {
 				sh := int32(s.part(v) % mod)
 				shards[i] = sh
 				staged[sh] = append(staged[sh], v)
 			}
-			clear(buf[:k]) // the values live on in staged
-			rt.PushSlice(shards[:k])
+			rt.PushSlice(shards[:len(vs)])
 			for sh, vs := range staged {
 				if len(vs) == 0 {
 					continue
 				}
-				pushers[sh].PushSlice(vs) // parks on this shard's credits only
+				pushers[sh].PushSlice(vs) // parks on this shard's budget only
 				clear(vs)
 				staged[sh] = vs[:0]
 			}
-		}
+		})
 	}, routerDeps...)
 
 	// Shard workers: each consumes its own queue in routed order and
@@ -274,19 +267,16 @@ func (s *Sharded[I, O]) Launch(f *sched.Frame) {
 			fn := s.work(c, shard)
 			in := s.inQ[shard].BindPop(c)
 			out := s.resQ[shard].BindPush(c)
-			buf := make([]I, batch)
-			for !in.Empty() {
-				k := in.PopInto(buf)
-				for i := 0; i < k; {
-					granted := out.reserve(k - i) // waits for at least one credit
-					for _, v := range buf[i : i+granted] {
+			in.PopBatches(batch, func(vs []I) {
+				for len(vs) > 0 {
+					granted := out.reserve(len(vs)) // waits for budget for at least one
+					for _, v := range vs[:granted] {
 						out.q.checkFailed() // a poisoned fan-out stops within one element
 						out.append1(fn(v))
 					}
-					i += granted
+					vs = vs[granted:]
 				}
-				clear(buf[:k])
-			}
+			})
 		}, deps...)
 	}
 
@@ -386,10 +376,8 @@ func (s *Sharded[I, O]) Drain(f *sched.Frame, d time.Duration) error {
 	}
 	sc := f.CancelScope()
 	var err error
-	f.Block(func() {
-		cancelCh := make(chan struct{})
-		unreg := sc.OnCancel(func() { close(cancelCh) })
-		defer unreg()
+	cancelCh := make(closeWaker)
+	f.Park(cancelCh, func() {
 		tm := time.NewTimer(d)
 		defer tm.Stop()
 		select {
@@ -402,6 +390,12 @@ func (s *Sharded[I, O]) Drain(f *sched.Frame, d time.Duration) error {
 	})
 	return err
 }
+
+// closeWaker is the cancellation waker of a wait that selects on a
+// channel: the scope closes it, at most once.
+type closeWaker chan struct{}
+
+func (c closeWaker) WakeParked() { close(c) }
 
 // Fail poisons every queue of the fan-out with err (nil means
 // ErrQueueFailed): the router, shard workers and merger — wherever

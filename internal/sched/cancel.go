@@ -41,9 +41,19 @@ type CancelScope struct {
 	mu       sync.Mutex
 	err      error                     // first cancellation cause; nil while live
 	panicVal any                       // first real task panic of the scope
-	wakers   map[uint64]func()         // park-site broadcasts, invoked once on cancel
-	nextID   uint64                    // waker id allocator
+	parked   *Frame                    // frames inside Park, linked through Frame.parkNext/parkPrev
 	children map[*CancelScope]struct{} // live ScopedCall sub-scopes
+}
+
+// Waker is what a park site hands to Frame.Park: WakeParked must make the
+// parked task re-check its predicate (the queue sites broadcast the
+// condition variable they wait on). The runtime calls it at most once per
+// Park, from the canceling goroutine, possibly after the task has already
+// left the park — a late call must be harmless. Park sites pass a pointer
+// they already hold (the queue, its flow state), so registering costs no
+// allocation.
+type Waker interface {
+	WakeParked()
 }
 
 // newCancelScope creates a scope under parent (nil for a Run root). A
@@ -99,16 +109,19 @@ func (s *CancelScope) Cancel(err error) {
 	}
 	s.err = err
 	s.canceled.Store(true)
-	wakers := make([]func(), 0, len(s.wakers))
-	for _, fn := range s.wakers {
-		wakers = append(wakers, fn)
+	var wakers []Waker
+	for f := s.parked; f != nil; {
+		wakers = append(wakers, f.waker)
+		next := f.parkNext
+		f.waker, f.parkNext, f.parkPrev = nil, nil, nil
+		f = next
 	}
-	s.wakers = nil
+	s.parked = nil
 	children := s.children
 	s.children = nil
 	s.mu.Unlock()
-	for _, fn := range wakers {
-		fn()
+	for _, w := range wakers {
+		w.WakeParked()
 	}
 	for c := range children {
 		c.Cancel(err)
@@ -129,34 +142,48 @@ func (s *CancelScope) Err() error {
 	return s.err
 }
 
-// OnCancel registers fn to run once when the scope is canceled —
-// park sites register a broadcast of the condition variable they are
-// about to wait on, so a cancellation reaches them while they sleep. If
-// the scope is already canceled, fn runs immediately. The returned
-// function unregisters fn (idempotently); park sites defer it so the
-// waker set stays bounded by the number of currently-parked tasks.
-func (s *CancelScope) OnCancel(fn func()) (unregister func()) {
-	if s == nil {
-		return func() {}
-	}
-	s.mu.Lock()
-	if s.err != nil {
-		s.mu.Unlock()
-		fn()
-		return func() {}
-	}
-	if s.wakers == nil {
-		s.wakers = make(map[uint64]func())
-	}
-	id := s.nextID
-	s.nextID++
-	s.wakers[id] = fn
-	s.mu.Unlock()
-	return func() {
+// Park is Block for a wait that a cancellation must be able to interrupt:
+// w is registered with the frame's scope for the duration of wait, and a
+// Cancel of the scope (or of an enclosing one) calls w.WakeParked once so
+// the sleeper re-checks its predicate — which must include the scope's
+// Canceled. If the scope is already canceled, w fires immediately and
+// nothing is registered. The registration is a slot in the frame's own
+// record on an intrusive list of the scope, so a park allocates nothing.
+func (f *Frame) Park(w Waker, wait func()) {
+	if s := f.scope; s != nil {
 		s.mu.Lock()
-		delete(s.wakers, id)
-		s.mu.Unlock()
+		if s.err != nil {
+			s.mu.Unlock()
+			w.WakeParked()
+		} else {
+			f.waker, f.parkNext = w, s.parked
+			if s.parked != nil {
+				s.parked.parkPrev = f
+			}
+			s.parked = f
+			s.mu.Unlock()
+			defer s.unpark(f)
+		}
 	}
+	f.Block(wait)
+}
+
+// unpark removes f from the scope's parked list, unless a Cancel already
+// emptied the list.
+func (s *CancelScope) unpark(f *Frame) {
+	s.mu.Lock()
+	if f.waker != nil {
+		if f.parkPrev != nil {
+			f.parkPrev.parkNext = f.parkNext
+		} else {
+			s.parked = f.parkNext
+		}
+		if f.parkNext != nil {
+			f.parkNext.parkPrev = f.parkPrev
+		}
+		f.waker, f.parkNext, f.parkPrev = nil, nil, nil
+	}
+	s.mu.Unlock()
 }
 
 // recordPanic stores the first real task panic of the scope and cancels

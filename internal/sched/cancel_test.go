@@ -11,6 +11,11 @@ import (
 // identical under the work-stealing pool and the goroutine baseline.
 var policies = []SpawnPolicy{PolicySteal, PolicyGoroutine}
 
+// closeWaker is the Waker of a test task that parks on a channel.
+type closeWaker chan struct{}
+
+func (c closeWaker) WakeParked() { close(c) }
+
 // TestRunReturnsNilClean checks the new Run signature's base case: a
 // clean run returns nil.
 func TestRunReturnsNilClean(t *testing.T) {
@@ -90,12 +95,11 @@ func TestRuntimeCancelWakesInFlightRun(t *testing.T) {
 			done := make(chan error, 1)
 			go func() {
 				done <- rt.Run(func(f *Frame) {
-					sc := f.CancelScope()
-					ch := make(chan struct{})
-					unreg := sc.OnCancel(func() { close(ch) })
-					defer unreg()
-					close(parked)
-					f.Block(func() { <-ch })
+					ch := make(closeWaker)
+					f.Park(ch, func() {
+						close(parked)
+						<-ch
+					})
 				})
 			}()
 			<-parked
@@ -143,10 +147,8 @@ func TestPanicCancelsSiblings(t *testing.T) {
 					// the panic lands first this task is skipped instead —
 					// either way the run quiesces.
 					parkedRan.Store(true)
-					ch := make(chan struct{})
-					unreg := sc.OnCancel(func() { close(ch) })
-					defer unreg()
-					c.Block(func() { <-ch })
+					ch := make(closeWaker)
+					c.Park(ch, func() { <-ch })
 					parkedSawCause = sc.Err()
 				})
 				f.Spawn(func(c *Frame) { panic("boom") })

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -54,6 +55,45 @@ func TestSpawnAllocBudget(t *testing.T) {
 	if p, c := dep.prepared.Load(), dep.completed.Load(); p == 0 || p != c {
 		t.Errorf("dep protocol: %d Prepare, %d Complete", p, c)
 	}
+}
+
+// TestSyncParkAllocs forces the other park of the spawn path: a Sync
+// whose child a thief is still running cannot help and parks in Block,
+// and that park — like the spawn before it — allocates nothing. The
+// child's record retires to the thief's free list, so the spawner's list
+// is filled first with enough records for every measured cycle.
+func TestSyncParkAllocs(t *testing.T) {
+	const runs = 100
+	rt := NewWithPolicy(2, PolicySteal)
+	rt.Run(func(f *Frame) {
+		var started atomic.Bool
+		var before uint64
+		child := func(*Frame) {
+			started.Store(true)
+			for rt.pool.stats.Blocks.Load() == before { // until the parent is inside Block
+				runtime.Gosched()
+			}
+		}
+		cycle := func() {
+			started.Store(false)
+			before = rt.pool.stats.Blocks.Load()
+			f.Spawn(child)
+			for !started.Load() { // a thief has it: Sync has nothing to help with
+				runtime.Gosched()
+			}
+			f.Sync()
+		}
+		for i := 0; i < 4; i++ {
+			cycle()
+		}
+		for f.worker.nfree < runs+8 {
+			f.SpawnN(taskCacheCap, emptyBodyN)
+			f.Sync()
+		}
+		if got := testing.AllocsPerRun(runs, cycle); got != 0 {
+			t.Errorf("Spawn + parked Sync: %v allocs per run, want 0", got)
+		}
+	})
 }
 
 // tree spawns a binary tree of the given depth and counts its leaves.

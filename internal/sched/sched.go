@@ -337,10 +337,17 @@ type Frame struct {
 
 	// worker is the worker currently executing this frame's task, set by
 	// the stealing substrate for the duration of the task. inBlock marks
-	// that the frame is inside a Block region (its token is released).
-	// Both are touched only by the frame's own goroutine.
+	// that the frame holds no execution capacity: it is inside a Block
+	// region (its token or slot is released) or, on the goroutine
+	// substrate, still at its dep gates. Both are touched only by the
+	// frame's own goroutine.
 	worker  *worker
 	inBlock bool
+
+	// waker and the park links register the frame with its scope while it
+	// is inside Park (cancel.go); all nil otherwise. Guarded by scope.mu.
+	waker              Waker
+	parkNext, parkPrev *Frame
 
 	// mu guards live; cond (whose L is &mu) signals live reaching zero.
 	// Neither is ever reset: a completing child may still be inside
@@ -512,24 +519,27 @@ func (f *Frame) IsAncestorOf(g *Frame) bool {
 func (f *Frame) Block(wait func()) {
 	f.checkLive()
 	rt := f.rt
-	if rt.policy == PolicyGoroutine {
-		rt.release()
-		defer rt.acquire()
-		wait()
-		return
-	}
-	if f.inBlock || f.worker == nil {
-		// Re-entrant block (e.g. a queue wait inside a dep gate): the
-		// token is already released.
+	if f.inBlock || (rt.policy != PolicyGoroutine && f.worker == nil) {
+		// Nothing to give up: a re-entrant block (a queue wait inside a
+		// dep gate), or a dep gate of the goroutine substrate, which runs
+		// before the task has a slot.
 		wait()
 		return
 	}
 	f.inBlock = true
-	rt.releaseToken()
-	rt.pool.blockBegin()
+	if rt.policy == PolicyGoroutine {
+		rt.release()
+	} else {
+		rt.releaseToken()
+		rt.pool.blockBegin()
+	}
 	defer func() {
-		rt.pool.blockEnd()
-		rt.acquireToken()
+		if rt.policy == PolicyGoroutine {
+			rt.acquire()
+		} else {
+			rt.pool.blockEnd()
+			rt.acquireToken()
+		}
 		f.inBlock = false
 	}()
 	wait()
@@ -733,12 +743,14 @@ func (f *Frame) publishBatch(wave []*Frame, reused int) {
 func (rt *Runtime) runTaskGoroutine(c *Frame) {
 	skip := c.scope.Canceled()
 	if !skip {
+		c.inBlock = true // no slot yet: a gate that parks has nothing to release
 		func() {
 			defer c.recoverTask()
 			for _, d := range c.deps() {
 				d.Wait(c)
 			}
 		}()
+		c.inBlock = false
 		skip = c.scope.Canceled()
 	}
 	rt.acquire()

@@ -24,7 +24,10 @@
 //     scheduler dispatched ran on a record that was either allocated
 //     fresh or taken from a worker's free list, Spawns == TaskAllocs +
 //     TaskReuses (how many records a free list may hold is bounded by
-//     construction, and asserted in internal/sched's own tests).
+//     construction, and asserted in internal/sched's own tests) — and
+//     the wake protocol's: on every metered queue a wake is one push or
+//     pop signalling a sleeper and a block is one sleep, so ConsumerWakes
+//     ≤ ConsumerBlocks and ProducerWakes ≤ ProducerBlocks.
 //
 // Execution is windowed: each window of OpsPerWindow steps runs as one
 // Runtime.Run, derives its op sequence from wseed = seed + windowIndex,
@@ -1114,6 +1117,12 @@ func (w *window) opAudit() {
 	if st := w.f.Runtime().Stats(); st.Spawns != st.TaskAllocs+st.TaskReuses {
 		w.failf("task-record audit: spawns=%d but allocs=%d + reuses=%d = %d",
 			st.Spawns, st.TaskAllocs, st.TaskReuses, st.TaskAllocs+st.TaskReuses)
+	}
+	for _, qs := range w.prov.QueueStats() {
+		if qs.ConsumerWakes > qs.ConsumerBlocks || qs.ProducerWakes > qs.ProducerBlocks {
+			w.failf("wake audit: queue %s woke a consumer %d times for %d sleeps, a producer %d times for %d",
+				qs.Name, qs.ConsumerWakes, qs.ConsumerBlocks, qs.ProducerWakes, qs.ProducerBlocks)
+		}
 	}
 	w.r.rep.Audits++
 }

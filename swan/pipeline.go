@@ -9,8 +9,14 @@ package swan
 // helper spawns ordinary tasks with ordinary queue dependences, so
 // programs built from them remain serializable, deterministic and
 // scale-free. Every helper binds its queue handles once at task entry
-// (Queue.BindPush / Queue.BindPop), so their per-element loops run on
-// the amortized hot path.
+// (Queue.BindPush / Queue.BindPop). The consuming helpers take what their
+// input already holds in one bulk pop of up to min(256, Bound) values
+// (Popper.PopBatches) and never wait to fill a batch; a bounded input's
+// budget is returned at the pop, so besides the Bound values in the queue
+// at most one batch is in the helper's hands. The push side is eager and
+// per element: a value is visible to the next stage when push returns,
+// because the code between two pushes is the caller's and may take
+// arbitrarily long.
 
 // Produce spawns a producer task with push privileges on q. The body
 // receives a push function bound to the task's frame; it may also spawn
@@ -33,12 +39,13 @@ func Produce[T any](f *Frame, q *Queue[T], body func(c *Frame, push func(T))) {
 func TransformEach[I, O any](f *Frame, in *Queue[I], out *Queue[O], fn func(I) O) {
 	f.Spawn(func(c *Frame) {
 		pp := in.BindPop(c)
-		for !pp.Empty() {
-			v := pp.Pop()
-			c.Spawn(func(g *Frame) {
-				out.Push(g, fn(v))
-			}, Push(out))
-		}
+		pp.PopBatches(in.Bound(), func(vs []I) {
+			for _, v := range vs {
+				c.Spawn(func(g *Frame) {
+					out.Push(g, fn(v))
+				}, Push(out))
+			}
+		})
 	}, Pop(in), Push(out))
 }
 
@@ -50,9 +57,11 @@ func TransformSerial[I, O any](f *Frame, in *Queue[I], out *Queue[O], fn func(I,
 		pp := in.BindPop(c)
 		pw := out.BindPush(c)
 		push := pw.Push // bound once: a method value allocates where it is evaluated
-		for !pp.Empty() {
-			fn(pp.Pop(), push)
-		}
+		pp.PopBatches(in.Bound(), func(vs []I) {
+			for _, v := range vs {
+				fn(v, push)
+			}
+		})
 	}, Pop(in), Push(out))
 }
 
@@ -61,9 +70,11 @@ func TransformSerial[I, O any](f *Frame, in *Queue[I], out *Queue[O], fn func(I,
 func Drain[T any](f *Frame, q *Queue[T], fn func(T)) {
 	f.Spawn(func(c *Frame) {
 		pp := q.BindPop(c)
-		for !pp.Empty() {
-			fn(pp.Pop())
-		}
+		pp.PopBatches(q.Bound(), func(vs []T) {
+			for _, v := range vs {
+				fn(v)
+			}
+		})
 	}, Pop(q))
 }
 

@@ -1,8 +1,14 @@
 package swan_test
 
 import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"strconv"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/swan"
 )
@@ -198,5 +204,181 @@ func TestTransformSerialSteadyStateAllocs(t *testing.T) {
 	}
 	if want := n * (n + 1) / 2; sum != want {
 		t.Errorf("sum = %d, want %d", sum, want)
+	}
+}
+
+// TestHelpersMatchSerialElision is the helpers' conformance table: the
+// batched consumer loops of TransformSerial, TransformEach and Drain
+// against the plain serial loop, over segment capacities that make a
+// batch span one, some and many segments, bounds below, at and above the
+// batch, and both substrates. TransformSerial's stage emits 0, 1 or 3
+// outputs per input, so an output batch never lines up with an input one.
+// TransformEach's output queue stays unbounded: its pushing children run
+// out of serial order, which a bound must not meet (OPERATIONS.md).
+func TestHelpersMatchSerialElision(t *testing.T) {
+	const n = 700
+	emit := func(v int, push func(int)) {
+		for j := 0; j < []int{0, 1, 3}[v%3]; j++ {
+			push(v*10 + j)
+		}
+	}
+	var wantSerial, wantEach []int
+	for v := 0; v < n; v++ {
+		emit(v, func(o int) { wantSerial = append(wantSerial, o) })
+		wantEach = append(wantEach, v*v)
+	}
+	for _, policy := range []swan.SpawnPolicy{swan.PolicySteal, swan.PolicyGoroutine} {
+		for _, workers := range []int{1, 2, 4} {
+			for _, segCap := range []int{1, 3, 256} {
+				for _, bound := range []int{0, 1, 2, 4096} {
+					var opts []swan.QueueOption
+					if bound > 0 {
+						opts = append(opts, swan.Bounded(bound))
+					}
+					name := fmt.Sprintf("policy=%v/workers=%d/segcap=%d/bound=%d", policy, workers, segCap, bound)
+					for _, stage := range []string{"serial", "each"} {
+						var got []int
+						swan.NewWithPolicy(workers, policy).Run(func(f *swan.Frame) {
+							in := swan.NewQueueWithCapacity[int](f, segCap, opts...)
+							swan.Produce(f, in, func(c *swan.Frame, push func(int)) {
+								for v := 0; v < n; v++ {
+									push(v)
+								}
+							})
+							var out *swan.Queue[int]
+							if stage == "serial" {
+								out = swan.NewQueueWithCapacity[int](f, segCap, opts...)
+								swan.TransformSerial(f, in, out, emit)
+							} else {
+								out = swan.NewQueueWithCapacity[int](f, segCap)
+								swan.TransformEach(f, in, out, func(v int) int { return v * v })
+							}
+							swan.Drain(f, out, func(v int) { got = append(got, v) })
+							f.Sync()
+						})
+						want := wantSerial
+						if stage == "each" {
+							want = wantEach
+						}
+						if !slices.Equal(got, want) {
+							t.Errorf("%s/%s: %d values, differs from the serial loop's %d", name, stage, len(got), len(want))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTransformSerialEagerPublication pins that the helpers batch only
+// their pops: TransformSerial's first bulk pop takes all 64 pre-loaded
+// elements, and the stage function's call on element i+1 blocks until the
+// Drain side has seen element i's output. A helper that held pushes back
+// until its batch was done would hang on the second element.
+func TestTransformSerialEagerPublication(t *testing.T) {
+	const n = 64
+	for _, policy := range []swan.SpawnPolicy{swan.PolicySteal, swan.PolicyGoroutine} {
+		for _, workers := range []int{2, 4} { // the stage function waits without a frame to Block on
+			t.Run(fmt.Sprintf("policy=%v/workers=%d", policy, workers), func(t *testing.T) {
+				seen := make([]chan struct{}, n) // closed when Drain has element i's output
+				vals := make([]int, n)
+				for i := range vals {
+					seen[i], vals[i] = make(chan struct{}), i
+				}
+				var inHand, drained atomic.Int64
+				inHand.Store(-1)
+				rt := swan.NewWithPolicy(workers, policy)
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					rt.Run(func(f *swan.Frame) {
+						in := swan.NewQueue[int](f, swan.Named("eager.in"))
+						out := swan.NewQueue[int](f, swan.Named("eager.out"))
+						pu := in.BindPush(f)
+						pu.PushSlice(vals)
+						swan.TransformSerial(f, in, out, func(v int, push func(int)) {
+							inHand.Store(int64(v))
+							if v > 0 {
+								<-seen[v-1]
+							}
+							push(v)
+						})
+						swan.Drain(f, out, func(v int) {
+							if v != int(drained.Load()) {
+								t.Errorf("drained[%d] = %d (order broken)", drained.Load(), v)
+							}
+							close(seen[v])
+							drained.Add(1)
+						})
+						f.Sync()
+					})
+				}()
+				select {
+				case <-done:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("pipeline hung with %d of %d outputs drained and the stage function on element %d: the helper is holding back pushed values%s",
+						drained.Load(), n, inHand.Load(), fanOutHolds(rt))
+				}
+				if drained.Load() != n {
+					t.Fatalf("%d outputs, want %d", drained.Load(), n)
+				}
+			})
+		}
+	}
+}
+
+// TestHelperPipelineSteadyStateAllocs runs the benchmark's elem_stream
+// shape — Produce → TransformSerial → Drain over two bounded, metered
+// hops — at two stream lengths on one warmed runtime and wants the same
+// allocations from both: the helpers' pop buffers are per task, not per
+// batch, and the budget and consumer parks a bounded stream goes through
+// every few thousand elements allocate nothing. One worker on one P and
+// no collector, as in TestShardedSteadyStateAllocs.
+func TestHelperPipelineSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exact Mallocs counts are not meaningful under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	rt := swan.New(1)
+	run := func(n int) {
+		sum := 0
+		rt.Run(func(f *swan.Frame) {
+			q1 := swan.NewQueueWithCapacity[int](f, 256, swan.Bounded(4096), swan.Named("allocs.q1"))
+			q2 := swan.NewQueueWithCapacity[int](f, 256, swan.Bounded(1024), swan.Named("allocs.q2"))
+			swan.Produce(f, q1, func(c *swan.Frame, push func(int)) {
+				for i := 0; i < n; i++ {
+					push(i)
+				}
+			})
+			swan.TransformSerial(f, q1, q2, func(v int, push func(int)) { push(v + 1) })
+			swan.Drain(f, q2, func(v int) { sum += v })
+			f.Sync()
+		})
+		if want := n * (n + 1) / 2; sum != want {
+			t.Fatalf("sum = %d, want %d", sum, want)
+		}
+	}
+	fewest := func(n, runs int) uint64 {
+		run(n)
+		run(n)
+		least := ^uint64(0)
+		var before, after runtime.MemStats
+		for i := 0; i < runs; i++ {
+			runtime.ReadMemStats(&before)
+			run(n)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		return least
+	}
+	short, long := 100_000, 1_000_000
+	if testing.Short() {
+		short, long = 20_000, 200_000
+	}
+	allocsShort, allocsLong := fewest(short, 12), fewest(long, 6)
+	if allocsLong != allocsShort {
+		t.Errorf("%d allocations for %d elements, %d for %d: %.5f per extra element, want 0",
+			allocsLong, long, allocsShort, short, (float64(allocsLong)-float64(allocsShort))/float64(long-short))
 	}
 }
