@@ -4,13 +4,13 @@ GO ?= go
 
 # bench-json knobs: which benchmarks make up the recorded perf set, how
 # long to run each, and where the JSON lands.
-BENCH_SET  ?= SteadyStateAllocs|QueueChurn|PrepareCompleteContention|BatchedSpawn|SpawnSyncOverhead|AblationSchedulerSubstrate|AblationSegmentSize|AblationQueueVsChannel|AblationStealBatch|BoundVsUnbound|BoundedVsUnbounded|Reducer|HypermapVsLockedMap|Sharded
+BENCH_SET  ?= SteadyStateAllocs|QueueChurn|PrepareCompleteContention|BatchedSpawn|SpawnSyncOverhead|AblationSegmentSize|AblationQueueVsChannel|BoundVsUnbound|BoundedVsUnbounded|Reducer|HypermapVsLockedMap|Sharded
 BENCH_TIME ?= 300ms
 BENCH_OUT  ?= BENCH_pr8.json
 
 .PHONY: all build vet fmt-check test race wake-stress bench-smoke bench-json quickcheck soak soak-ci docs ci
 
-# soak knobs: steps per policy, base seed, and the config preset
+# soak knobs: steps per run, base seed, and the config preset
 # (internal/soak: ci / default / heavy). The nightly workflow raises
 # SOAK_STEPS ~10x over the PR gate.
 SOAK_STEPS    ?= 2000000
@@ -56,7 +56,7 @@ bench-smoke:
 
 # Run the recorded perf set with allocation reporting and emit the
 # machine-readable result file (name, iterations, ns/op, allocs/op and
-# custom metrics like steals/op) for the perf trajectory. The text
+# custom metrics like p99-ns) for the perf trajectory. The text
 # output goes through an intermediate file so a benchmark failure fails
 # the target instead of being swallowed by the pipe.
 bench-json:
@@ -68,49 +68,41 @@ bench-json:
 	@# spawn allocates at most its task record, and in steady state nothing.
 	jq -e '[.benchmarks[] | select(.name | test("^Benchmark(SpawnSyncOverhead$$|BatchedSpawn/)")) | .metrics["allocs/op"]] | length == 3 and all(. <= 1)' $(BENCH_OUT)
 
-# Serializability verifier: random programs against the serial elision,
-# under both scheduling substrates, plus the hyperqueue regression tests
-# under the race detector.
+# Serializability verifier: random single-queue, multi-queue and sharded
+# programs against the serial elision, plus the hyperqueue regression
+# tests under the race detector.
 quickcheck:
 	$(GO) run ./cmd/quickcheck -n 200
-	REPRO_SCHED=goroutine $(GO) run ./cmd/quickcheck -n 200
 	$(GO) run ./cmd/quickcheck -n 100 -queues 2
-	REPRO_SCHED=goroutine $(GO) run ./cmd/quickcheck -n 100 -queues 2
 	$(GO) run ./cmd/quickcheck -n 100 -sharded
-	REPRO_SCHED=goroutine $(GO) run ./cmd/quickcheck -n 100 -sharded
-	REPRO_STEAL_BATCH=1 $(GO) run ./cmd/quickcheck -n 100
 	$(GO) test -race -count=3 -run 'Regression' ./internal/core
 
 # Long-horizon lifecycle fuzzing (internal/soak): a config-driven op mix
 # over a long-lived runtime with invariant sweeps, pool-accounting
 # audits and replay-window determinism checks. `make soak` is the
-# operator entry point — hours of churn at the heavy preset under both
-# scheduling policies. Any failure prints a FAIL line with a
+# operator entry point — hours of churn at the heavy preset. Any failure prints a FAIL line with a
 # copy-pasteable replay command.
 soak:
-	$(GO) run ./cmd/soakfuzz -config $(SOAK_CONFIG) -policy steal -seed $(SOAK_SEED) -steps $(SOAK_STEPS)
-	$(GO) run ./cmd/soakfuzz -config $(SOAK_CONFIG) -policy goroutine -seed $(SOAK_SEED) -steps $(SOAK_STEPS)
+	$(GO) run ./cmd/soakfuzz -config $(SOAK_CONFIG) -seed $(SOAK_SEED) -steps $(SOAK_STEPS)
 
-# Bounded soak for the PR gate: both policies under the race detector —
-# once at the ci preset and once at the chaos preset, which stripes
+# Bounded soak for the PR gate under the race detector: once at the ci
+# preset and once at the chaos preset, which stripes
 # cancellations, queue poisonings and deadline probes through the op mix
 # at full depth — plus injected-bug smoke runs (a model-invisible value
 # and a spurious cancellation) proving the harness still detects and
 # replays both fault classes deterministically, and the Short-guarded
 # sweeps at full depth (plain `go test` runs them without -short).
 soak-ci:
-	$(GO) run -race ./cmd/soakfuzz -config ci -policy steal -seed $(SOAK_SEED) -steps $(SOAK_CI_STEPS)
-	$(GO) run -race ./cmd/soakfuzz -config ci -policy goroutine -seed $(SOAK_SEED) -steps $(SOAK_CI_STEPS)
-	$(GO) run -race ./cmd/soakfuzz -config chaos -policy steal -seed $(SOAK_SEED) -steps $(SOAK_CI_STEPS)
-	$(GO) run -race ./cmd/soakfuzz -config chaos -policy goroutine -seed $(SOAK_SEED) -steps $(SOAK_CI_STEPS)
+	$(GO) run -race ./cmd/soakfuzz -config ci -seed $(SOAK_SEED) -steps $(SOAK_CI_STEPS)
+	$(GO) run -race ./cmd/soakfuzz -config chaos -seed $(SOAK_SEED) -steps $(SOAK_CI_STEPS)
 	@echo "soak-ci: verifying fault injection is detected (expect FAIL + replay line)"
-	@if $(GO) run ./cmd/soakfuzz -config ci -policy steal -seed 3 -steps 9000 -fault 4321 >/tmp/soak-fault.out 2>&1; then \
+	@if $(GO) run ./cmd/soakfuzz -config ci -seed 3 -steps 9000 -fault 4321 >/tmp/soak-fault.out 2>&1; then \
 		echo "soak-ci: injected fault was NOT detected"; cat /tmp/soak-fault.out; exit 1; \
 	else \
 		grep -m1 '^FAIL soak' /tmp/soak-fault.out; echo "soak-ci: injected fault detected ✓"; \
 	fi
 	@echo "soak-ci: verifying a spurious cancellation is detected (expect FAIL + replay line)"
-	@if $(GO) run ./cmd/soakfuzz -config ci -policy steal -seed 3 -steps 9000 -fault 4321 -faultkind cancel >/tmp/soak-cancel.out 2>&1; then \
+	@if $(GO) run ./cmd/soakfuzz -config ci -seed 3 -steps 9000 -fault 4321 -faultkind cancel >/tmp/soak-cancel.out 2>&1; then \
 		echo "soak-ci: injected cancellation was NOT detected"; cat /tmp/soak-cancel.out; exit 1; \
 	else \
 		grep -m1 '^FAIL soak' /tmp/soak-cancel.out; echo "soak-ci: injected cancellation detected ✓"; \

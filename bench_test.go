@@ -333,92 +333,6 @@ func BenchmarkAblationDequeVsChannelDispatch(b *testing.B) {
 	})
 }
 
-// --- Ablation: work-stealing scheduler vs goroutine-per-task baseline ----
-
-// runPipelineSpawnTree is the Figure 2 shape: a recursively parallel
-// producer tree feeding one consumer through a hyperqueue. It exercises
-// both dispatch (deque pushes, steals) and the blocking protocol (Sync,
-// pop waits).
-func runPipelineSpawnTree(rt *sched.Runtime, items int) {
-	rt.Run(func(f *sched.Frame) {
-		q := core.NewWithCapacity[int](f, 256)
-		f.Spawn(func(c *sched.Frame) {
-			var produce func(c *sched.Frame, lo, hi int)
-			produce = func(c *sched.Frame, lo, hi int) {
-				if hi-lo <= 64 {
-					for n := lo; n < hi; n++ {
-						q.Push(c, n)
-					}
-					return
-				}
-				mid := (lo + hi) / 2
-				c.Spawn(func(g *sched.Frame) { produce(g, lo, mid) }, core.Push(q))
-				c.Spawn(func(g *sched.Frame) { produce(g, mid, hi) }, core.Push(q))
-			}
-			produce(c, 0, items)
-		}, core.Push(q))
-		f.Spawn(func(c *sched.Frame) {
-			sum := 0
-			for !q.Empty(c) {
-				sum += q.Pop(c)
-			}
-			_ = sum
-		}, core.Pop(q))
-		f.Sync()
-	})
-}
-
-// runSpawnTree is a pure dep-free spawn tree: the maximal-stealing shape.
-func runSpawnTree(rt *sched.Runtime, depth int) {
-	var rec func(f *sched.Frame, d int)
-	rec = func(f *sched.Frame, d int) {
-		if d == 0 {
-			return
-		}
-		f.Spawn(func(c *sched.Frame) { rec(c, d-1) })
-		f.Spawn(func(c *sched.Frame) { rec(c, d-1) })
-		f.Sync()
-	}
-	rt.Run(func(f *sched.Frame) { rec(f, depth) })
-}
-
-// BenchmarkAblationSchedulerSubstrate is the ablation promised by
-// internal/deque: the Chase–Lev work-stealing runtime (PolicySteal)
-// against the seed's goroutine-per-task slot-semaphore baseline
-// (PolicyGoroutine), on a hyperqueue pipeline and on a pure spawn tree.
-// For the stealing runtime it also reports observed steals per op.
-func BenchmarkAblationSchedulerSubstrate(b *testing.B) {
-	shapes := []struct {
-		name string
-		run  func(rt *sched.Runtime)
-	}{
-		{"pipeline", func(rt *sched.Runtime) { runPipelineSpawnTree(rt, 1<<13) }},
-		{"spawntree", func(rt *sched.Runtime) { runSpawnTree(rt, 9) }},
-	}
-	workers := runtime.NumCPU()
-	if workers < 2 {
-		workers = 2 // keep thieves in play even on one-core machines
-	}
-	for _, policy := range []sched.SpawnPolicy{sched.PolicySteal, sched.PolicyGoroutine} {
-		for _, shape := range shapes {
-			b.Run(fmt.Sprintf("sched=%s/shape=%s", policy, shape.name), func(b *testing.B) {
-				rt := sched.NewWithPolicy(workers, policy)
-				before := rt.Stats()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					shape.run(rt)
-				}
-				b.StopTimer()
-				if policy == sched.PolicySteal {
-					after := rt.Stats()
-					b.ReportMetric(float64(after.Steals-before.Steals)/float64(b.N), "steals/op")
-					b.ReportMetric(float64(after.Spawns-before.Spawns)/float64(b.N), "spawns/op")
-				}
-			})
-		}
-	}
-}
-
 // --- Ablation: §5.4 loop split bounds serial memory ----------------------
 
 func BenchmarkAblationLoopSplit(b *testing.B) {
@@ -812,52 +726,6 @@ func BenchmarkShardedLatency(b *testing.B) {
 			b.ReportMetric(float64(r.P99), "p99-ns")
 			b.ReportMetric(float64(r.P999), "p999-ns")
 			b.ReportMetric(float64(r.TTFR), "ttfr-ns")
-		})
-	}
-}
-
-// --- Ablation: steal-half batch stealing ----------------------------------
-
-// BenchmarkAblationStealBatch compares classic single-task stealing
-// (cap=1, the pre-PR-8 scheduler) against steal-half batching (cap=8):
-// a flat fan-out of short leaf tasks from one producer deque, the shape
-// where per-task steal sweeps are pure overhead. steals/op counts
-// successful sweeps, stolen-tasks/op what they carried — batching must
-// move the same work in fewer sweeps.
-func BenchmarkAblationStealBatch(b *testing.B) {
-	workers := runtime.NumCPU()
-	if workers < 4 {
-		workers = 4
-	}
-	const leaves = 256
-	for _, cap := range []int{1, 8} {
-		b.Run(fmt.Sprintf("cap=%d", cap), func(b *testing.B) {
-			prev := sched.StealBatchCap()
-			sched.SetStealBatchCap(cap)
-			defer sched.SetStealBatchCap(prev)
-			rt := sched.New(workers) // freezes the cap into the pool
-			var sink uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rt.Run(func(f *sched.Frame) {
-					f.SpawnN(leaves, func(c *sched.Frame, j int) {
-						x := uint64(j) + 1
-						for k := 0; k < 4000; k++ {
-							x ^= x << 13
-							x ^= x >> 7
-							x ^= x << 17
-						}
-						if x == 0 {
-							sink++
-						}
-					})
-					f.Sync()
-				})
-			}
-			b.StopTimer()
-			s := rt.Stats()
-			b.ReportMetric(float64(s.Steals)/float64(b.N), "steals/op")
-			b.ReportMetric(float64(s.StolenTasks)/float64(b.N), "stolen-tasks/op")
 		})
 	}
 }

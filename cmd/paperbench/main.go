@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	paperbench [-exp all|table1|table2|fig8|fig11|bzip2|latency] [-scale N] [-cores N] [-reps N] [-sched steal|goroutine] [-stats] [-metrics addr]
+//	paperbench [-exp all|table1|table2|fig8|fig11|bzip2|latency] [-scale N] [-cores N] [-reps N] [-stats] [-metrics addr]
 //
 // Scale 1 keeps each experiment in the seconds range; the paper-like
 // regime is -scale 4 or higher. -metrics serves a live Prometheus-text
@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bench"
-	"repro/internal/sched"
 )
 
 func main() {
@@ -30,20 +29,9 @@ func main() {
 	scale := flag.Int("scale", 1, "workload scale factor")
 	cores := flag.Int("cores", runtime.NumCPU(), "maximum cores to sweep")
 	reps := flag.Int("reps", 2, "repetitions per configuration (best-of)")
-	schedPolicy := flag.String("sched", "steal", "scheduler substrate for the Swan runtimes: steal (work-stealing deques) or goroutine (goroutine-per-task baseline)")
 	showStats := flag.Bool("stats", false, "print per-runtime resource stats (pooled segments, recycled queues, spawns/steals, metered queues) after the experiments")
 	metricsAddr := flag.String("metrics", "", "serve a live Prometheus-text metrics endpoint on this address while experiments run (e.g. 127.0.0.1:9090; empty disables)")
 	flag.Parse()
-
-	switch *schedPolicy {
-	case "steal":
-		sched.SetDefaultPolicy(sched.PolicySteal)
-	case "goroutine":
-		sched.SetDefaultPolicy(sched.PolicyGoroutine)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -sched %q (want steal or goroutine)\n", *schedPolicy)
-		os.Exit(2)
-	}
 
 	cfg := bench.Config{MaxCores: *cores, Reps: *reps, Scale: *scale}
 	run := func(name string) {
@@ -91,7 +79,7 @@ func main() {
 		}
 		fmt.Printf("serving metrics at http://%s/metrics\n", addr)
 	}
-	fmt.Printf("# Hyperqueue reproduction — %d cores available, scale %d, scheduler %s\n\n", runtime.NumCPU(), *scale, sched.DefaultPolicy())
+	fmt.Printf("# Hyperqueue reproduction — %d cores available, scale %d\n\n", runtime.NumCPU(), *scale)
 	if *exp == "all" {
 		for _, e := range []string{"table1", "table2", "fig8", "fig11", "bzip2", "latency"} {
 			if interrupted.Load() {

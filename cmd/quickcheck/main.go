@@ -23,9 +23,8 @@
 // checked against its serial-order oracle — covering cross-queue
 // interleavings, the §5.2 slice interface, the lock-free consumer miss
 // path, and the hyperobject merge discipline — a failure there is
-// reported as (seed, queues). The scheduling substrate follows
-// REPRO_SCHED ("steal" or "goroutine"). Exit status 0 means every
-// program behaved exactly like its serial elision.
+// reported as (seed, queues). Exit status 0 means every program behaved
+// exactly like its serial elision.
 package main
 
 import (
@@ -53,7 +52,6 @@ func main() {
 	}
 	workerSet = dedup(workerSet)
 	segSet := []int{1, 7, 256}
-	policy := qcheck.DefaultPolicy()
 
 	if *sharded {
 		failed := 0
@@ -62,7 +60,7 @@ func main() {
 			var badConfigs []string
 			firstBadWorkers := 0
 			for _, w := range workerSet {
-				if !p.Check(w, policy) {
+				if !p.Check(w) {
 					badConfigs = append(badConfigs, fmt.Sprintf("workers=%d", w))
 					if firstBadWorkers == 0 {
 						firstBadWorkers = w
@@ -72,19 +70,19 @@ func main() {
 			if len(badConfigs) > 0 {
 				failed++
 				fmt.Printf("FAIL sharded seed=%d values=%d shards=%d bound=%d segcap=%d (%s)\n"+
-					"  replay: REPRO_SCHED=%s go run ./cmd/quickcheck -sharded -n 1 -seed %d -workers %d\n",
+					"  replay: go run ./cmd/quickcheck -sharded -n 1 -seed %d -workers %d\n",
 					p.Seed, p.Values, p.Shards, p.Bound, p.SegCap, strings.Join(badConfigs, ", "),
-					policy, p.Seed, firstBadWorkers)
+					p.Seed, firstBadWorkers)
 			} else if *verbose {
 				fmt.Printf("sharded %3d: %d values, %d shards, bound %d — ok\n", i, p.Values, p.Shards, p.Bound)
 			}
 		}
 		if failed > 0 {
-			fmt.Printf("%d of %d sharded programs FAILED (sched=%s)\n", failed, *n, policy)
+			fmt.Printf("%d of %d sharded programs FAILED\n", failed, *n)
 			os.Exit(1)
 		}
-		fmt.Printf("quickcheck: %d random sharded fan-outs × %d workers (sched=%s) — all match the serial elision ✓\n",
-			*n, len(workerSet), policy)
+		fmt.Printf("quickcheck: %d random sharded fan-outs × %d workers — all match the serial elision ✓\n",
+			*n, len(workerSet))
 		return
 	}
 
@@ -101,7 +99,7 @@ func main() {
 		firstBadWorkers := 0
 		for _, w := range workerSet {
 			for _, s := range segSet {
-				out, ok := p.CheckFull(w, s, policy)
+				out, ok := p.CheckFull(w, s)
 				if !ok {
 					badConfigs = append(badConfigs, fmt.Sprintf("workers=%d segcap=%d", w, s))
 					if firstBad == nil {
@@ -114,20 +112,20 @@ func main() {
 		if len(badConfigs) > 0 {
 			failedPrograms++
 			fmt.Printf("FAIL seed=%d queues=%d (%s)\n  got:    %v\n  oracle: %v\n  reducer got:    %v\n  reducer oracle: %v\n"+
-				"  replay: REPRO_SCHED=%s go run ./cmd/quickcheck -n 1 -seed %d -queues %d -workers %d\n",
+				"  replay: go run ./cmd/quickcheck -n 1 -seed %d -queues %d -workers %d\n",
 				p.Seed, p.Queues, strings.Join(badConfigs, ", "),
 				firstBad.Consumed, p.Oracle, firstBad.Reduced, p.RedOracle,
-				policy, p.Seed, p.Queues, firstBadWorkers)
+				p.Seed, p.Queues, firstBadWorkers)
 		} else if *verbose {
 			fmt.Printf("program %3d: %d tasks, %d values, %d queues — ok\n", i, p.Tasks, p.Values, p.Queues)
 		}
 	}
 	if failedPrograms > 0 {
-		fmt.Printf("%d of %d programs FAILED (sched=%s, queues=%d)\n", failedPrograms, *n, policy, *queues)
+		fmt.Printf("%d of %d programs FAILED (queues=%d)\n", failedPrograms, *n, *queues)
 		os.Exit(1)
 	}
-	fmt.Printf("quickcheck: %d random programs × %d workers × %d segment sizes × %d queues (sched=%s) — all match the serial elision ✓\n",
-		*n, len(workerSet), len(segSet), *queues, policy)
+	fmt.Printf("quickcheck: %d random programs × %d workers × %d segment sizes × %d queues — all match the serial elision ✓\n",
+		*n, len(workerSet), len(segSet), *queues)
 }
 
 func dedup(xs []int) []int {

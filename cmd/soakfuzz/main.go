@@ -7,8 +7,8 @@
 // A failure prints a quickcheck-style FAIL line whose replay command
 // re-executes exactly the failing window:
 //
-//	FAIL soak config=ci policy=steal window=17 wseed=1041 step=35102: ...
-//	replay: go run ./cmd/soakfuzz -config ci -policy steal -workers 4 -seed 1041 -steps 2000
+//	FAIL soak config=ci window=17 wseed=1041 step=35102: ...
+//	replay: go run ./cmd/soakfuzz -config ci -workers 4 -seed 1041 -steps 2000
 //
 // -fault injects a deliberate bug at the given global step (-faultkind
 // selects the class: a model-invisible value, or a spurious root-scope
@@ -35,7 +35,6 @@ func main() {
 		steps   = flag.Int64("steps", 100_000, "stepper operations to execute")
 		seed    = flag.Uint64("seed", 1, "base seed (window i runs from seed+i)")
 		config  = flag.String("config", "default", "config preset: "+strings.Join(soak.ConfigNames(), ", "))
-		policy  = flag.String("policy", "steal", "scheduling substrate: steal or goroutine")
 		workers = flag.Int("workers", 4, "runtime worker count")
 		fault   = flag.Int64("fault", 0, "inject a deliberate bug at this global step (0 = off)")
 		fkind   = flag.String("faultkind", soak.FaultValue, "injected bug class: value or cancel")
@@ -50,12 +49,7 @@ func main() {
 			*config, strings.Join(soak.ConfigNames(), ", "))
 		os.Exit(2)
 	}
-	pol, err := soak.ParsePolicy(*policy)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "soakfuzz: %v\n", err)
-		os.Exit(2)
-	}
-	opt := soak.Options{Workers: *workers, Policy: pol, FaultStep: *fault, FaultKind: *fkind}
+	opt := soak.Options{Workers: *workers, FaultStep: *fault, FaultKind: *fkind}
 	if *verbose {
 		opt.Progress = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
@@ -92,8 +86,8 @@ func main() {
 	if rep.Interrupted {
 		verdict = "interrupted (clean drain)"
 	}
-	fmt.Printf("soakfuzz: %s — %d steps in %d windows (config=%s policy=%s workers=%d seed=%d)\n",
-		verdict, rep.Steps, rep.Windows, cfg.Name, soak.PolicyName(pol), *workers, *seed)
+	fmt.Printf("soakfuzz: %s — %d steps in %d windows (config=%s workers=%d seed=%d)\n",
+		verdict, rep.Steps, rep.Windows, cfg.Name, *workers, *seed)
 	fmt.Printf("  sweeps=%d audits=%d replays=%d rebuilds=%d recycles=%d\n",
 		rep.Sweeps, rep.Audits, rep.Replays, rep.Rebuilds, rep.Recycles)
 	fmt.Printf("  qchecks=%d shardeds=%d handoffs=%d chaos=%d pushed=%d popped=%d\n",

@@ -3,10 +3,9 @@ package core_test
 // Backpressure tests for bounded queues (swan.Bounded): the credit
 // accounting, the chunked bulk paths, the interaction of a blocked
 // producer with queue lifecycle (Recycle, consumer completion), and the
-// memory ceiling a bound buys. Everything runs under both scheduler
-// policies — a blocked Push routes through Frame.Block, whose capacity
-// compensation differs per substrate, and these tests are the pin on
-// that coupling. Like the regression tests they drive the queue through
+// memory ceiling a bound buys. A blocked Push routes through
+// Frame.Block and its capacity compensation, and these tests are the pin
+// on that coupling. Like the regression tests they drive the queue through
 // the public swan API from an external test package.
 
 import (
@@ -22,12 +21,12 @@ import (
 // totals and high-water respect the bound.
 func TestBoundedRoundTrip(t *testing.T) {
 	const total = 1000
-	for _, policy := range policies {
+	for _, mode := range modes {
 		for _, bound := range []int{1, 3, 64} {
-			t.Run(fmt.Sprintf("%v/bound=%d", policy, bound), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/bound=%d", mode, bound), func(t *testing.T) {
 				var got []int
 				var qs swan.QueueStats
-				swan.NewWithPolicy(2, policy).Run(func(f *swan.Frame) {
+				newRuntime(t, 2, mode).Run(func(f *swan.Frame) {
 					q := swan.NewQueueWithCapacity[int](f, 8, swan.Bounded(bound))
 					swan.Produce(f, q, func(c *swan.Frame, push func(int)) {
 						for i := 0; i < total; i++ {
@@ -66,15 +65,15 @@ func TestBoundedRoundTrip(t *testing.T) {
 // consumer rather than deadlocking on an all-or-nothing reservation.
 func TestBoundedPushSliceLargerThanBound(t *testing.T) {
 	const total = 500
-	for _, policy := range policies {
+	for _, mode := range modes {
 		for _, bound := range []int{1, 7} {
-			t.Run(fmt.Sprintf("%v/bound=%d/pushslice", policy, bound), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/bound=%d/pushslice", mode, bound), func(t *testing.T) {
 				vals := make([]int, total)
 				for i := range vals {
 					vals[i] = i
 				}
 				var got []int
-				swan.NewWithPolicy(2, policy).Run(func(f *swan.Frame) {
+				newRuntime(t, 2, mode).Run(func(f *swan.Frame) {
 					q := swan.NewQueueWithCapacity[int](f, 16, swan.Bounded(bound))
 					f.Spawn(func(c *swan.Frame) {
 						pw := q.BindPush(c)
@@ -92,13 +91,13 @@ func TestBoundedPushSliceLargerThanBound(t *testing.T) {
 					}
 				}
 			})
-			t.Run(fmt.Sprintf("%v/bound=%d/commitwrite", policy, bound), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/bound=%d/commitwrite", mode, bound), func(t *testing.T) {
 				// CommitWrite accounts credits at publish time, chunked the
 				// same way; the write slice itself must fit one segment, so
 				// the commit (48) exceeds the bound but not segCap.
 				const n = 48
 				var got []int
-				swan.NewWithPolicy(2, policy).Run(func(f *swan.Frame) {
+				newRuntime(t, 2, mode).Run(func(f *swan.Frame) {
 					q := swan.NewQueueWithCapacity[int](f, 64, swan.Bounded(bound))
 					f.Spawn(func(c *swan.Frame) {
 						w := q.WriteSlice(c, n)
@@ -130,10 +129,10 @@ func TestBoundedPushSliceLargerThanBound(t *testing.T) {
 // runs through the same queue.
 func TestBoundedBlockedProducerVsRecycle(t *testing.T) {
 	const bound, total = 2, 200
-	for _, policy := range policies {
-		t.Run(fmt.Sprintf("%v", policy), func(t *testing.T) {
+	for _, mode := range modes {
+		t.Run(mode, func(t *testing.T) {
 			var rounds [2][]int
-			swan.NewWithPolicy(2, policy).Run(func(f *swan.Frame) {
+			newRuntime(t, 2, mode).Run(func(f *swan.Frame) {
 				q := swan.NewQueueWithCapacity[int](f, 4, swan.Bounded(bound))
 				for round := 0; round < 2; round++ {
 					round := round
@@ -180,10 +179,10 @@ func TestBoundedBlockedProducerVsRecycle(t *testing.T) {
 // two consumers.
 func TestBoundedConsumerCompletesWithoutDraining(t *testing.T) {
 	const bound, total, firstN = 3, 120, 7
-	for _, policy := range policies {
-		t.Run(fmt.Sprintf("%v", policy), func(t *testing.T) {
+	for _, mode := range modes {
+		t.Run(mode, func(t *testing.T) {
 			var first, rest []int
-			swan.NewWithPolicy(2, policy).Run(func(f *swan.Frame) {
+			newRuntime(t, 2, mode).Run(func(f *swan.Frame) {
 				q := swan.NewQueueWithCapacity[int](f, 4, swan.Bounded(bound))
 				f.Spawn(func(c *swan.Frame) {
 					pw := q.BindPush(c)
@@ -229,12 +228,12 @@ func TestBoundedTwoStagePipeline(t *testing.T) {
 	if testing.Short() {
 		total = 400
 	}
-	for _, policy := range policies {
+	for _, mode := range modes {
 		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%v/workers=%d", policy, workers), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/workers=%d", mode, workers), func(t *testing.T) {
 				var got []int
 				var q1s, q2s swan.QueueStats
-				swan.NewWithPolicy(workers, policy).Run(func(f *swan.Frame) {
+				newRuntime(t, workers, mode).Run(func(f *swan.Frame) {
 					q1 := swan.NewQueueWithCapacity[int](f, 4, swan.Bounded(2))
 					q2 := swan.NewQueueWithCapacity[int](f, 4, swan.Bounded(3))
 					swan.Produce(f, q1, func(c *swan.Frame, push func(int)) {
@@ -278,44 +277,42 @@ func TestBoundedMemoryCeiling(t *testing.T) {
 	if testing.Short() {
 		total = 50_000
 	}
-	for _, policy := range policies {
-		t.Run(fmt.Sprintf("%v", policy), func(t *testing.T) {
-			rt := swan.NewWithPolicy(2, policy)
-			prov := core.ProviderOf(rt)
-			var qs swan.QueueStats
-			var drained int
-			rt.Run(func(f *swan.Frame) {
-				q := swan.NewQueueWithCapacity[int](f, segCap, swan.Bounded(bound))
-				swan.Produce(f, q, func(c *swan.Frame, push func(int)) {
-					for i := 0; i < total; i++ {
-						push(i)
-					}
-				})
-				f.Spawn(func(c *swan.Frame) {
-					pp := q.BindPop(c)
-					for !pp.Empty() {
-						pp.Pop()
-						drained++
-						if drained%bound == 0 {
-							c.Sync() // an empty sync: just slows the consumer down
-						}
-					}
-				}, swan.Pop(q))
-				f.Sync()
-				qs, _ = q.Metrics()
+	t.Run("steal", func(t *testing.T) {
+		rt := swan.New(2)
+		prov := core.ProviderOf(rt)
+		var qs swan.QueueStats
+		var drained int
+		rt.Run(func(f *swan.Frame) {
+			q := swan.NewQueueWithCapacity[int](f, segCap, swan.Bounded(bound))
+			swan.Produce(f, q, func(c *swan.Frame, push func(int)) {
+				for i := 0; i < total; i++ {
+					push(i)
+				}
 			})
-			if drained != total {
-				t.Fatalf("drained %d values, want %d", drained, total)
-			}
-			if qs.HighWater > bound {
-				t.Errorf("high-water = %d exceeds bound %d", qs.HighWater, bound)
-			}
-			ceiling := uint64(bound/segCap + 3)
-			if allocs := prov.SegmentAllocs(); allocs > ceiling {
-				t.Errorf("segment allocs = %d, want <= %d (bound-derived ceiling)", allocs, ceiling)
-			}
+			f.Spawn(func(c *swan.Frame) {
+				pp := q.BindPop(c)
+				for !pp.Empty() {
+					pp.Pop()
+					drained++
+					if drained%bound == 0 {
+						c.Sync() // an empty sync: just slows the consumer down
+					}
+				}
+			}, swan.Pop(q))
+			f.Sync()
+			qs, _ = q.Metrics()
 		})
-	}
+		if drained != total {
+			t.Fatalf("drained %d values, want %d", drained, total)
+		}
+		if qs.HighWater > bound {
+			t.Errorf("high-water = %d exceeds bound %d", qs.HighWater, bound)
+		}
+		ceiling := uint64(bound/segCap + 3)
+		if allocs := prov.SegmentAllocs(); allocs > ceiling {
+			t.Errorf("segment allocs = %d, want <= %d (bound-derived ceiling)", allocs, ceiling)
+		}
+	})
 }
 
 // TestBoundedSteadyStateZeroAllocs mirrors the unbounded zero-alloc
@@ -354,7 +351,7 @@ func TestBoundedSteadyStateZeroAllocs(t *testing.T) {
 func TestBoundedBlockCountersMeter(t *testing.T) {
 	const total = 2000
 	var qs swan.QueueStats
-	swan.NewWithPolicy(2, swan.PolicySteal).Run(func(f *swan.Frame) {
+	swan.New(2).Run(func(f *swan.Frame) {
 		q := swan.NewQueueWithCapacity[int](f, 4, swan.Bounded(1))
 		swan.Produce(f, q, func(c *swan.Frame, push func(int)) {
 			for i := 0; i < total; i++ {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -13,7 +14,40 @@ import (
 // emptiness waits, ticket gates — promptly, Run must report the cause,
 // and the segment-pool accounting identity must survive the abort.
 
-var cancelPolicies = []sched.SpawnPolicy{sched.PolicySteal, sched.PolicyGoroutine}
+// modes are the two ways a mode sweep runs each case, and a case must
+// come out the same under both. "steal" gives the case a runtime of its
+// own. "goroutine" shares the runtime's workers with a second Run, issued
+// from a goroutine of its own, that keeps spawning unrelated task waves
+// until the case ends, so the case meets steal schedules and run-token
+// hand-offs it does not control.
+var modes = []string{"steal", "goroutine"}
+
+// newRuntime returns the runtime for one case of a mode sweep; the
+// "goroutine" mode's background Run stops when the case ends, or at once
+// if the runtime is canceled.
+func newRuntime(t *testing.T, workers int, mode string) *sched.Runtime {
+	rt := sched.New(workers)
+	if mode == "goroutine" {
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if rt.Run(func(f *sched.Frame) {
+					f.SpawnN(8, func(*sched.Frame, int) { runtime.Gosched() })
+				}) != nil {
+					return
+				}
+			}
+		}()
+		t.Cleanup(func() { close(stop); <-done })
+	}
+	return rt
+}
 
 // waitStat polls the provider's queue meters until pred holds for the
 // named queue, or gives up after 10s. It is how the tests observe "the
@@ -117,10 +151,10 @@ func TestTeardownReachesParkedTasks(t *testing.T) {
 			close(gate)
 		}},
 	}
-	for _, policy := range cancelPolicies {
+	for _, mode := range modes {
 		for _, c := range cells {
-			t.Run(policy.String()+"/"+c.name, func(t *testing.T) {
-				rt := sched.NewWithPolicy(4, policy)
+			t.Run(mode+"/"+c.name, func(t *testing.T) {
+				rt := newRuntime(t, 4, mode)
 				done := make(chan error, 1)
 				go func() {
 					done <- rt.Run(func(f *sched.Frame) {
@@ -157,9 +191,9 @@ func awaitParked(t *testing.T, rt *sched.Runtime, f *sched.Frame, name string, p
 // chains — unwound tasks still deposit their views. The cancel is
 // contained in a sub-scope, so Run itself returns nil.
 func TestPoolAuditBalancesAfterCancel(t *testing.T) {
-	for _, policy := range cancelPolicies {
-		t.Run(policy.String(), func(t *testing.T) {
-			rt := sched.NewWithPolicy(4, policy)
+	for _, mode := range modes {
+		t.Run(mode, func(t *testing.T) {
+			rt := newRuntime(t, 4, mode)
 			var chains uint64
 			err := rt.Run(func(f *sched.Frame) {
 				serr := f.ScopedCall(func(c *sched.Frame) {
@@ -197,9 +231,9 @@ func TestPoolAuditBalancesAfterCancel(t *testing.T) {
 // order, with the shed meter counting refused values.
 func TestTryPushPushTimeoutPopTimeout(t *testing.T) {
 	const short, long = 2 * time.Millisecond, 10 * time.Second
-	for _, policy := range cancelPolicies {
-		t.Run(policy.String(), func(t *testing.T) {
-			rt := sched.NewWithPolicy(4, policy)
+	for _, mode := range modes {
+		t.Run(mode, func(t *testing.T) {
+			rt := newRuntime(t, 4, mode)
 			err := rt.Run(func(f *sched.Frame) {
 				qa := NewWithCapacity[int](f, 4, Bounded(1), Named("dl.qa"))
 				qb := NewWithCapacity[int](f, 4, Bounded(1))

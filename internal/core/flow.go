@@ -43,10 +43,9 @@ import (
 // never participate in a lock cycle with the view machinery.
 //
 // Deadlock freedom. Scheduler-level: a blocked Push routes through
-// Frame.Block, which starts a compensating worker (PolicySteal) or
-// releases the slot (PolicyGoroutine), so the consumer always has
-// capacity to run, exactly as the consumer-side emptyWait guarantees the
-// mirror case. Queue-level: budget is granted in arrival order while
+// Frame.Block, which releases the run token and starts a compensating
+// worker, so the consumer always has capacity to run, exactly as the
+// consumer-side emptyWait guarantees the mirror case. Queue-level: budget is granted in arrival order while
 // the consumer drains in serial program order, so a program whose
 // producers run concurrently out of serial order can fill the bound with
 // values the consumer cannot yet reach and wedge — see the in-order

@@ -45,7 +45,7 @@ func (hmOps[K, V]) Reduce(into, from *hview[K, V]) {
 // algebra: every task spawned with the map's dependence gets a private
 // view, Put inserts into that view without locks, and the substrate
 // merges views in serial program order — the serially-first writer of a
-// key wins, for any schedule, policy or worker count.
+// key wins, for any schedule or worker count.
 //
 // Alongside the deterministic views the map keeps a shared *advisory
 // claims* index (a sync.Map), letting Put answer "was this key already

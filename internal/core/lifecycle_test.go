@@ -138,7 +138,7 @@ func TestRecycleGuards(t *testing.T) {
 		fn()
 	}
 	t.Run("undrained", func(t *testing.T) {
-		rt := sched.NewWithPolicy(1, sched.PolicySteal)
+		rt := sched.New(1)
 		rt.Run(func(f *sched.Frame) {
 			q := NewWithCapacity[int](f, 2)
 			q.Push(f, 1)
@@ -147,7 +147,7 @@ func TestRecycleGuards(t *testing.T) {
 		})
 	})
 	t.Run("live-children", func(t *testing.T) {
-		rt := sched.NewWithPolicy(1, sched.PolicySteal)
+		rt := sched.New(1)
 		rt.Run(func(f *sched.Frame) {
 			q := NewWithCapacity[int](f, 2)
 			f.Spawn(func(c *sched.Frame) { q.Push(c, 1) }, Push(q))

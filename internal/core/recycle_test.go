@@ -32,9 +32,9 @@ func fanin(c *sched.Frame, q *Queue[int], depth, base int) {
 // from the pool — the consumer still sees serial order — and that the
 // deps a queue hands out are the same three values every time.
 func TestViewSetsRecycle(t *testing.T) {
-	for _, policy := range cancelPolicies {
-		t.Run(policy.String(), func(t *testing.T) {
-			rt := sched.NewWithPolicy(4, policy)
+	for _, mode := range modes {
+		t.Run(mode, func(t *testing.T) {
+			rt := newRuntime(t, 4, mode)
 			const depth = 9
 			got := 0
 			rt.Run(func(f *sched.Frame) {
@@ -80,9 +80,9 @@ func TestViewSetsRecycle(t *testing.T) {
 // TestStaleFrameOnQueuePanics uses a queue through a frame kept past its
 // task's return.
 func TestStaleFrameOnQueuePanics(t *testing.T) {
-	for _, policy := range cancelPolicies {
-		t.Run(policy.String(), func(t *testing.T) {
-			sched.NewWithPolicy(1, policy).Run(func(f *sched.Frame) {
+	for _, mode := range modes {
+		t.Run(mode, func(t *testing.T) {
+			newRuntime(t, 1, mode).Run(func(f *sched.Frame) {
 				q := New[int](f)
 				var stale *sched.Frame
 				f.Spawn(func(c *sched.Frame) { stale = c; q.Push(c, 1) }, Push(q))
@@ -105,9 +105,9 @@ func TestStaleFrameOnQueuePanics(t *testing.T) {
 // either dependence has registered anything: were the refused task's
 // producer entry left behind, the consumer below would wait on it forever.
 func TestTwoDepsOnOneQueuePanic(t *testing.T) {
-	for _, policy := range cancelPolicies {
-		t.Run(policy.String(), func(t *testing.T) {
-			sched.NewWithPolicy(2, policy).Run(func(f *sched.Frame) {
+	for _, mode := range modes {
+		t.Run(mode, func(t *testing.T) {
+			newRuntime(t, 2, mode).Run(func(f *sched.Frame) {
 				q := New[int](f)
 				func() {
 					defer func() {
@@ -161,10 +161,10 @@ func TestRecycleAcrossQueueTeardown(t *testing.T) {
 	if testing.Short() {
 		rounds = 10
 	}
-	for _, policy := range cancelPolicies {
+	for _, mode := range modes {
 		for name, kill := range kills {
-			t.Run(policy.String()+"/"+name, func(t *testing.T) {
-				rt := sched.NewWithPolicy(4, policy)
+			t.Run(mode+"/"+name, func(t *testing.T) {
+				rt := newRuntime(t, 4, mode)
 				err := rt.Run(func(f *sched.Frame) {
 					for r := 0; r < rounds; r++ {
 						got := f.ScopedCall(func(c *sched.Frame) {

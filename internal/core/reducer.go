@@ -74,7 +74,7 @@ func (o redOps[T]) Reduce(into, from *rview[T]) {
 // no locks, no contention — and the substrate folds the views in
 // serial program order at completion and sync points. After a Sync
 // covering every writer, Value returns exactly what a serial execution
-// would have computed, for any schedule, policy or worker count
+// would have computed, for any schedule or worker count
 // (provided the monoid's Combine is exactly associative).
 type Reducer[T any] struct {
 	obj hyper.Obj[rview[T], redOps[T]]

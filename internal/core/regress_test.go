@@ -20,7 +20,41 @@ import (
 	"repro/swan"
 )
 
-var policies = []swan.SpawnPolicy{swan.PolicySteal, swan.PolicyGoroutine}
+// modes are the two ways a mode sweep runs each case, and a case must
+// come out the same under both. "steal" gives the case a runtime of its
+// own. "goroutine" shares the runtime's workers with a second Run, issued
+// from a goroutine of its own, that keeps spawning unrelated task waves
+// until the case ends, so the case meets steal schedules and run-token
+// hand-offs it does not control. Sweeps that build their runtime out of
+// reach (qcheck's Check) or read runtime-wide counters keep only "steal".
+var modes = []string{"steal", "goroutine"}
+
+// newRuntime returns the runtime for one case of a mode sweep; the
+// "goroutine" mode's background Run stops when the case ends, or at once
+// if the runtime is canceled.
+func newRuntime(t *testing.T, workers int, mode string) *swan.Runtime {
+	rt := swan.New(workers)
+	if mode == "goroutine" {
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if rt.Run(func(f *swan.Frame) {
+					f.SpawnN(8, func(*swan.Frame, int) { runtime.Gosched() })
+				}) != nil {
+					return
+				}
+			}
+		}()
+		t.Cleanup(func() { close(stop); <-done })
+	}
+	return rt
+}
 
 // TestRegressionCompletedProducerVisibility is the distilled shape of
 // quickcheck seed 139. The consumer A inherits an empty user view
@@ -33,13 +67,13 @@ var policies = []swan.SpawnPolicy{swan.PolicySteal, swan.PolicyGoroutine}
 // A's own drain must perform the frontier fold or it wrongly sees a
 // permanently empty queue and its values leak to the owner.
 func TestRegressionCompletedProducerVisibility(t *testing.T) {
-	for _, policy := range policies {
+	for _, mode := range modes {
 		for _, workers := range []int{1, 2, 4} {
 			for _, segCap := range []int{1, 4} {
-				name := fmt.Sprintf("%v/workers=%d/segcap=%d", policy, workers, segCap)
+				name := fmt.Sprintf("%s/workers=%d/segcap=%d", mode, workers, segCap)
 				t.Run(name, func(t *testing.T) {
 					var bGot, aGot, ownerGot []int
-					swan.NewWithPolicy(workers, policy).Run(func(f *swan.Frame) {
+					newRuntime(t, workers, mode).Run(func(f *swan.Frame) {
 						q := swan.NewQueueWithCapacity[int](f, segCap)
 						// X takes the owner's user view and completes:
 						// the view is deposited into the owner's children
@@ -85,11 +119,11 @@ func TestRegressionCompletedProducerVisibility(t *testing.T) {
 // below never finish; a generous deadline turns that into a failure
 // instead of a test-suite hang.
 func TestRegressionNonBlockingConsumers(t *testing.T) {
-	for _, policy := range policies {
-		t.Run(fmt.Sprint(policy), func(t *testing.T) {
+	for _, mode := range modes {
+		t.Run(mode, func(t *testing.T) {
 			var got []int
 			deadline := time.Now().Add(30 * time.Second)
-			swan.NewWithPolicy(2, policy).Run(func(f *swan.Frame) {
+			newRuntime(t, 2, mode).Run(func(f *swan.Frame) {
 				q := swan.NewQueueWithCapacity[int](f, 1)
 				// X takes the owner's user view to its grave; B takes A's
 				// empty user view, so A's pushes land in a dangling chain
@@ -129,7 +163,7 @@ func TestRegressionNonBlockingConsumers(t *testing.T) {
 
 // TestRegressionSeed139 replays the exact quickcheck program that
 // exposed the bug, across every configuration the default quickcheck
-// sweep exercises and under both scheduling substrates. It also pins the
+// sweep exercises. It also pins the
 // generator's seed compatibility: if the program generated for seed 139
 // ever drifts, the historical failure report stops being reproducible.
 func TestRegressionSeed139(t *testing.T) {
@@ -145,14 +179,12 @@ func TestRegressionSeed139(t *testing.T) {
 	if !qcheck.Equal(p.Oracle, wantOracle) {
 		t.Fatalf("generator drift: seed 139 oracle = %v, want %v", p.Oracle, wantOracle)
 	}
-	for _, policy := range policies {
-		for _, workers := range []int{1, 2, runtime.NumCPU()} {
-			for _, segCap := range []int{1, 7, 256} {
-				got, ok := p.Check(workers, segCap, policy)
-				if !ok {
-					t.Fatalf("seed 139 %v workers=%d segcap=%d:\n got:    %v\n oracle: %v",
-						policy, workers, segCap, got, p.Oracle)
-				}
+	for _, workers := range []int{1, 2, runtime.NumCPU()} {
+		for _, segCap := range []int{1, 7, 256} {
+			got, ok := p.Check(workers, segCap)
+			if !ok {
+				t.Fatalf("seed 139 workers=%d segcap=%d:\n got:    %v\n oracle: %v",
+					workers, segCap, got, p.Oracle)
 			}
 		}
 	}
@@ -172,7 +204,7 @@ func TestRegressionQuickcheckSweep(t *testing.T) {
 		p := qcheck.Generate(1 + uint64(i))
 		for _, workers := range []int{1, 2} {
 			for _, segCap := range []int{1, 7} {
-				got, ok := p.Check(workers, segCap, swan.PolicySteal)
+				got, ok := p.Check(workers, segCap)
 				if !ok {
 					t.Fatalf("seed %d workers=%d segcap=%d:\n got:    %v\n oracle: %v",
 						p.Seed, workers, segCap, got, p.Oracle)
@@ -185,7 +217,7 @@ func TestRegressionQuickcheckSweep(t *testing.T) {
 // TestRegressionMultiQueueSweep sweeps the extended generator — programs
 // over several hyperqueues whose tasks also Sync mid-body, Call children
 // synchronously, and consume through Empty-guarded TryPop and
-// ReadSlice/ConsumeRead runs — under both scheduling substrates. This is
+// ReadSlice/ConsumeRead runs. This is
 // the coverage the single-queue generator cannot provide: cross-queue
 // privilege delegation, a consumer of one queue producing into another,
 // the syncHook children-view fold firing between actions, and the
@@ -196,22 +228,20 @@ func TestRegressionMultiQueueSweep(t *testing.T) {
 	if testing.Short() {
 		seeds = 15
 	}
-	for _, policy := range policies {
-		for _, queues := range []int{2, 3} {
-			t.Run(fmt.Sprintf("%v/queues=%d", policy, queues), func(t *testing.T) {
-				for i := 0; i < seeds; i++ {
-					p := qcheck.GenerateMulti(1+uint64(i), queues)
-					for _, workers := range []int{1, 2} {
-						for _, segCap := range []int{1, 7} {
-							got, ok := p.Check(workers, segCap, policy)
-							if !ok {
-								t.Fatalf("seed %d queues=%d workers=%d segcap=%d:\n got:    %v\n oracle: %v",
-									p.Seed, queues, workers, segCap, got, p.Oracle)
-							}
+	for _, queues := range []int{2, 3} {
+		t.Run(fmt.Sprintf("steal/queues=%d", queues), func(t *testing.T) {
+			for i := 0; i < seeds; i++ {
+				p := qcheck.GenerateMulti(1+uint64(i), queues)
+				for _, workers := range []int{1, 2} {
+					for _, segCap := range []int{1, 7} {
+						got, ok := p.Check(workers, segCap)
+						if !ok {
+							t.Fatalf("seed %d queues=%d workers=%d segcap=%d:\n got:    %v\n oracle: %v",
+								p.Seed, queues, workers, segCap, got, p.Oracle)
 						}
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }

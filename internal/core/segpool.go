@@ -109,7 +109,7 @@ func (p *PoolProvider) DroppedSegments() uint64 { return p.segDrops.Load() }
 
 // CarryProvider installs the segment-pool provider of one runtime as the
 // provider of another, so pools — and every segment cached in them —
-// survive a runtime teardown/rebuild (a policy switch mid-service, or
+// survive a runtime teardown/rebuild (a rebuild mid-service, or
 // per-connection runtime reuse). It must run before any queue is created
 // on the destination runtime; if the destination already resolved its own
 // provider, that one wins and CarryProvider reports it instead. The

@@ -19,7 +19,7 @@ import (
 // shard indices. Every queue involved keeps exactly one consumer, so the
 // whole construction inherits the determinism argument of the single
 // pipeline: the egress stream is byte-identical for any worker count,
-// shard count, and scheduler policy.
+// shard count, and schedule.
 //
 // Flow control is per shard: the shard input and result queues are
 // bounded (credit-based backpressure, flow.go), so one slow shard blocks

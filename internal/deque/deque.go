@@ -7,14 +7,12 @@
 // is what gives Cilk-style schedulers their locality and their bounded
 // space guarantee: thieves take the oldest, typically largest, task.
 //
-// The Swan-like scheduler in internal/sched (PolicySteal, the default)
-// uses one deque per worker as its dispatch substrate: spawns push at the
-// bottom of the spawning worker's deque, sync points pop from it
-// help-first, and idle workers steal from randomized victims.
-// BenchmarkAblationSchedulerSubstrate in bench_test.go runs the ablation:
-// this stealing runtime against the goroutine-per-task slot-semaphore
-// baseline (PolicyGoroutine), and BenchmarkAblationDequeVsChannelDispatch
-// compares the raw deque against a channel as a dispatch primitive.
+// The Swan-like scheduler in internal/sched uses one deque per worker as
+// its dispatch substrate: spawns push at the bottom of the spawning
+// worker's deque, sync points pop from it help-first, and idle workers
+// steal from randomized victims. BenchmarkAblationDequeVsChannelDispatch
+// in bench_test.go compares the raw deque against a channel as a dispatch
+// primitive.
 package deque
 
 import "sync/atomic"

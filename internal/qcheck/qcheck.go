@@ -14,7 +14,7 @@
 // privilege subset per queue), and consume through the non-blocking
 // primitives — Empty-guarded TryPop and ReadSlice/ConsumeRead runs,
 // which exercise the lock-free miss fast path and the §5.2 slice
-// interface under both scheduler policies. GenerateMulti's stream
+// interface at every worker count. GenerateMulti's stream
 // identity is versioned rather than frozen: PR 4 extended the action
 // set from 7 to 9 kinds, PR 5 from 9 to 11 (bound-handle push bursts —
 // scalar Push or bulk PushSlice — and bound-handle Empty-guarded
@@ -323,19 +323,19 @@ type Outcome struct {
 
 // Execute runs the program and returns the per-task consumption map;
 // ExecuteFull additionally returns the reducer fold.
-func (p *Program) Execute(workers, segCap int, policy swan.SpawnPolicy) map[int][]int {
-	return p.ExecuteFull(workers, segCap, policy).Consumed
+func (p *Program) Execute(workers, segCap int) map[int][]int {
+	return p.ExecuteFull(workers, segCap).Consumed
 }
 
 // ExecuteFull runs the program on a fresh runtime with the given worker
-// count, segment capacity and scheduling substrate, returning what each
+// count and segment capacity, returning what each
 // task actually consumed and what the program's reducer folded. The
 // hyperqueue's runtime self-checking assertions are enabled for the
 // duration of the process (qcheck is a verifier; an assertion failure
 // surfaces as a panic out of ExecuteFull).
-func (p *Program) ExecuteFull(workers, segCap int, policy swan.SpawnPolicy) Outcome {
+func (p *Program) ExecuteFull(workers, segCap int) Outcome {
 	var out Outcome
-	swan.NewWithPolicy(workers, policy).Run(func(f *swan.Frame) {
+	swan.New(workers).Run(func(f *swan.Frame) {
 		out = p.exec(f, segCap)
 	})
 	return out
@@ -503,8 +503,8 @@ func (p *Program) exec(f *swan.Frame, segCap int) Outcome {
 // Check executes the program and compares against the oracles (both the
 // per-task consumption map and the reducer fold). It returns the
 // consumed map and whether everything matched.
-func (p *Program) Check(workers, segCap int, policy swan.SpawnPolicy) (map[int][]int, bool) {
-	out, ok := p.CheckFull(workers, segCap, policy)
+func (p *Program) Check(workers, segCap int) (map[int][]int, bool) {
+	out, ok := p.CheckFull(workers, segCap)
 	return out.Consumed, ok
 }
 
@@ -512,8 +512,8 @@ func (p *Program) Check(workers, segCap int, policy swan.SpawnPolicy) (map[int][
 // the oracles: every task's consumption must match the serial elision
 // and the reducer's fold must list the reduced values in serial program
 // order.
-func (p *Program) CheckFull(workers, segCap int, policy swan.SpawnPolicy) (Outcome, bool) {
-	out := p.ExecuteFull(workers, segCap, policy)
+func (p *Program) CheckFull(workers, segCap int) (Outcome, bool) {
+	out := p.ExecuteFull(workers, segCap)
 	ok := Equal(out.Consumed, p.Oracle) && reflect.DeepEqual(out.Reduced, p.RedOracle)
 	return out, ok
 }
@@ -563,11 +563,6 @@ func (p *Program) OpLog() string {
 	walk(p.root, 0)
 	return b.String()
 }
-
-// DefaultPolicy reports the scheduling substrate selected by the
-// REPRO_SCHED environment variable, so callers can sweep it without
-// importing the runtime packages.
-func DefaultPolicy() swan.SpawnPolicy { return swan.DefaultPolicy() }
 
 // Equal reports whether two per-task consumption maps are identical.
 func Equal(a, b map[int][]int) bool {

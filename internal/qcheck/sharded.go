@@ -93,9 +93,9 @@ func (p *ShardedProgram) work(w *swan.Frame, shard int) func(uint64) uint64 {
 
 // Check runs the program on a fresh runtime and reports whether the
 // egress stream matches the serial elision.
-func (p *ShardedProgram) Check(workers int, policy swan.SpawnPolicy) bool {
+func (p *ShardedProgram) Check(workers int) bool {
 	var ok bool
-	swan.NewWithPolicy(workers, policy).Run(func(f *swan.Frame) {
+	swan.New(workers).Run(func(f *swan.Frame) {
 		ok, _ = p.RunOn(f)
 	})
 	return ok

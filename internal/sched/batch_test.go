@@ -7,13 +7,13 @@ import (
 )
 
 // TestSpawnNRunsAll checks that every batched child runs exactly once
-// with its own index, under both substrates.
+// with its own index.
 func TestSpawnNRunsAll(t *testing.T) {
-	for _, policy := range []SpawnPolicy{PolicySteal, PolicyGoroutine} {
-		t.Run(policy.String(), func(t *testing.T) {
+	for _, mode := range modes {
+		t.Run(mode, func(t *testing.T) {
 			const n = 100
 			var ran [n]atomic.Int32
-			NewWithPolicy(4, policy).Run(func(f *Frame) {
+			newRuntime(t, 4, mode).Run(func(f *Frame) {
 				f.SpawnN(n, func(c *Frame, i int) { ran[i].Add(1) })
 				f.Sync()
 			})

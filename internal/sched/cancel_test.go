@@ -2,14 +2,47 @@ package sched
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// policies spans both substrates: every cancellation behavior must be
-// identical under the work-stealing pool and the goroutine baseline.
-var policies = []SpawnPolicy{PolicySteal, PolicyGoroutine}
+// modes are the two ways a mode sweep runs each case, and a case must
+// come out the same under both. "steal" gives the case a runtime of its
+// own. "goroutine" shares the runtime's workers with a second Run, issued
+// from a goroutine of its own, that keeps spawning unrelated task waves
+// until the case ends, so the case meets steal schedules and run-token
+// hand-offs it does not control. Cases that read runtime-wide counters
+// keep only "steal".
+var modes = []string{"steal", "goroutine"}
+
+// newRuntime returns the runtime for one case of a mode sweep; the
+// "goroutine" mode's background Run stops when the case ends, or at once
+// if the runtime is canceled.
+func newRuntime(t *testing.T, workers int, mode string) *Runtime {
+	rt := New(workers)
+	if mode == "goroutine" {
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if rt.Run(func(f *Frame) {
+					f.SpawnN(8, func(*Frame, int) { runtime.Gosched() })
+				}) != nil {
+					return
+				}
+			}
+		}()
+		t.Cleanup(func() { close(stop); <-done })
+	}
+	return rt
+}
 
 // closeWaker is the Waker of a test task that parks on a channel.
 type closeWaker chan struct{}
@@ -19,9 +52,9 @@ func (c closeWaker) WakeParked() { close(c) }
 // TestRunReturnsNilClean checks the new Run signature's base case: a
 // clean run returns nil.
 func TestRunReturnsNilClean(t *testing.T) {
-	for _, policy := range policies {
-		t.Run(policy.String(), func(t *testing.T) {
-			if err := NewWithPolicy(2, policy).Run(func(f *Frame) {
+	for _, mode := range modes {
+		t.Run(mode, func(t *testing.T) {
+			if err := newRuntime(t, 2, mode).Run(func(f *Frame) {
 				f.Spawn(func(*Frame) {})
 				f.Sync()
 			}); err != nil {
@@ -35,10 +68,10 @@ func TestRunReturnsNilClean(t *testing.T) {
 // return the cause while the body itself runs to completion.
 func TestRunSelfCancel(t *testing.T) {
 	cause := errors.New("enough")
-	for _, policy := range policies {
-		t.Run(policy.String(), func(t *testing.T) {
+	for _, mode := range modes {
+		t.Run(mode, func(t *testing.T) {
 			var finished atomic.Bool
-			err := NewWithPolicy(2, policy).Run(func(f *Frame) {
+			err := newRuntime(t, 2, mode).Run(func(f *Frame) {
 				f.CancelScope().Cancel(cause)
 				finished.Store(true)
 			})
@@ -62,35 +95,35 @@ func TestRunCancelNilIsErrCanceled(t *testing.T) {
 
 // TestRuntimeCancelTerminal checks the shutdown path: Runtime.Cancel
 // condemns the runtime, so a later Run skips its body entirely and
-// returns the stored cause.
+// returns the stored cause. It reads the runtime-wide CanceledRuns
+// counter, which a background Run would also bump, so it runs only in
+// the "steal" mode.
 func TestRuntimeCancelTerminal(t *testing.T) {
 	cause := errors.New("shutdown")
-	for _, policy := range policies {
-		t.Run(policy.String(), func(t *testing.T) {
-			rt := NewWithPolicy(2, policy)
-			rt.Cancel(cause)
-			var ran atomic.Bool
-			err := rt.Run(func(f *Frame) { ran.Store(true) })
-			if !errors.Is(err, cause) {
-				t.Fatalf("Run after Runtime.Cancel returned %v, want %v", err, cause)
-			}
-			if ran.Load() {
-				t.Fatal("body of a born-canceled Run executed")
-			}
-			if s := rt.Stats(); s.CanceledRuns != 1 {
-				t.Fatalf("CanceledRuns = %d, want 1", s.CanceledRuns)
-			}
-		})
-	}
+	t.Run("steal", func(t *testing.T) {
+		rt := New(2)
+		rt.Cancel(cause)
+		var ran atomic.Bool
+		err := rt.Run(func(f *Frame) { ran.Store(true) })
+		if !errors.Is(err, cause) {
+			t.Fatalf("Run after Runtime.Cancel returned %v, want %v", err, cause)
+		}
+		if ran.Load() {
+			t.Fatal("body of a born-canceled Run executed")
+		}
+		if s := rt.Stats(); s.CanceledRuns != 1 {
+			t.Fatalf("CanceledRuns = %d, want 1", s.CanceledRuns)
+		}
+	})
 }
 
 // TestRuntimeCancelWakesInFlightRun checks that Runtime.Cancel reaches a
 // Run already parked: a task blocked in a scope-aware wait wakes with
 // the cause and the Run quiesces in bounded time.
 func TestRuntimeCancelWakesInFlightRun(t *testing.T) {
-	for _, policy := range policies {
-		t.Run(policy.String(), func(t *testing.T) {
-			rt := NewWithPolicy(2, policy)
+	for _, mode := range modes {
+		t.Run(mode, func(t *testing.T) {
+			rt := newRuntime(t, 2, mode)
 			parked := make(chan struct{})
 			done := make(chan error, 1)
 			go func() {
@@ -121,8 +154,8 @@ func TestRuntimeCancelWakesInFlightRun(t *testing.T) {
 // wake with a *PanicError cause, later siblings may be skipped), the
 // original panic value is re-raised out of Run, and nothing hangs.
 func TestPanicCancelsSiblings(t *testing.T) {
-	for _, policy := range policies {
-		t.Run(policy.String(), func(t *testing.T) {
+	for _, mode := range modes {
+		t.Run(mode, func(t *testing.T) {
 			var parkedSawCause error
 			var parkedRan atomic.Bool
 			defer func() {
@@ -140,7 +173,7 @@ func TestPanicCancelsSiblings(t *testing.T) {
 					}
 				}
 			}()
-			NewWithPolicy(4, policy).Run(func(f *Frame) {
+			newRuntime(t, 4, mode).Run(func(f *Frame) {
 				sc := f.CancelScope()
 				f.Spawn(func(c *Frame) {
 					// Parks until the sibling's panic cancels the scope. If
@@ -182,9 +215,9 @@ func TestPanicCountsInStats(t *testing.T) {
 // and Run returns nil.
 func TestScopedCallContainment(t *testing.T) {
 	inner := errors.New("inner")
-	for _, policy := range policies {
-		t.Run(policy.String(), func(t *testing.T) {
-			err := NewWithPolicy(2, policy).Run(func(f *Frame) {
+	for _, mode := range modes {
+		t.Run(mode, func(t *testing.T) {
+			err := newRuntime(t, 2, mode).Run(func(f *Frame) {
 				if got := f.ScopedCall(func(c *Frame) {
 					c.CancelScope().Cancel(inner)
 				}); !errors.Is(got, inner) {

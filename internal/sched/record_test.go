@@ -42,7 +42,7 @@ func TestSpawnAllocBudget(t *testing.T) {
 		{"SpawnN(16)+Sync", 0, func(f *Frame) { f.SpawnN(16, emptyBodyN, &dep); f.Sync() }},
 		{"Call", 1, func(f *Frame) { f.Call(emptyBody) }}, // its done channel
 	}
-	NewWithPolicy(1, PolicySteal).Run(func(f *Frame) {
+	New(1).Run(func(f *Frame) {
 		for _, b := range budgets {
 			for i := 0; i < 4; i++ {
 				b.op(f) // warm the free list and the spill slices
@@ -64,7 +64,7 @@ func TestSpawnAllocBudget(t *testing.T) {
 // is filled first with enough records for every measured cycle.
 func TestSyncParkAllocs(t *testing.T) {
 	const runs = 100
-	rt := NewWithPolicy(2, PolicySteal)
+	rt := New(2)
 	rt.Run(func(f *Frame) {
 		var started atomic.Bool
 		var before uint64
@@ -120,7 +120,7 @@ func checkBooks(t *testing.T, rt *Runtime) Stats {
 // list runs on a handful of records, and that a free list never grows
 // past its cap however many records a worker retires.
 func TestRecordsRecycle(t *testing.T) {
-	rt := NewWithPolicy(1, PolicySteal)
+	rt := New(1)
 	var leaves atomic.Int64
 	rt.Run(func(f *Frame) {
 		tree(f, 12, &leaves)
@@ -157,25 +157,8 @@ func TestRecordsRecycle(t *testing.T) {
 	checkBooks(t, rt)
 }
 
-// TestGoroutinePolicyNeverRecycles pins the baseline substrate's side of
-// the contract: same record type, no free lists, nothing counted.
-func TestGoroutinePolicyNeverRecycles(t *testing.T) {
-	rt := NewWithPolicy(2, PolicyGoroutine)
-	var leaves atomic.Int64
-	rt.Run(func(f *Frame) {
-		tree(f, 8, &leaves)
-		f.Sync()
-	})
-	if leaves.Load() != 1<<8 {
-		t.Errorf("leaves = %d, want %d", leaves.Load(), 1<<8)
-	}
-	if st := rt.Stats(); st.Spawns != 0 || st.TaskAllocs != 0 || st.TaskReuses != 0 {
-		t.Errorf("goroutine substrate counted spawns: %+v", st)
-	}
-}
-
 // TestStaleFramePanics holds a child's frame past the child's return and
-// uses it: every entry point must refuse, under both substrates, whether
+// uses it: every entry point must refuse, whether
 // the record went back to a free list or to the garbage collector.
 func TestStaleFramePanics(t *testing.T) {
 	uses := map[string]func(f *Frame){
@@ -189,11 +172,11 @@ func TestStaleFramePanics(t *testing.T) {
 		"AddSyncHook":   func(f *Frame) { f.AddSyncHook(hookFunc(func() {})) },
 		"Label":         func(f *Frame) { f.Label() },
 	}
-	for _, policy := range policies {
+	for _, mode := range modes {
 		for name, use := range uses {
-			t.Run(policy.String()+"/"+name, func(t *testing.T) {
+			t.Run(mode+"/"+name, func(t *testing.T) {
 				var root *Frame
-				NewWithPolicy(1, policy).Run(func(f *Frame) {
+				newRuntime(t, 1, mode).Run(func(f *Frame) {
 					root = f
 					var stale *Frame
 					f.Spawn(func(c *Frame) { stale = c })
@@ -223,7 +206,7 @@ func mustPanicStale(t *testing.T, which string, use func()) {
 // was read from is handed to other tasks.
 func TestLabelOutlivesTheRecord(t *testing.T) {
 	var early, nested, late []int32
-	NewWithPolicy(1, PolicySteal).Run(func(f *Frame) {
+	New(1).Run(func(f *Frame) {
 		if l := f.Label(); len(l) != 0 {
 			t.Errorf("root label %v, want empty", l)
 		}
@@ -253,7 +236,7 @@ func TestLabelOutlivesTheRecord(t *testing.T) {
 // SpawnN tasks that themselves spawn are stolen in batches, executed and
 // retired on the thieves' lists, and reused for the thieves' own spawns.
 func TestRecycleAcrossSteals(t *testing.T) {
-	rt := NewWithPolicy(4, PolicySteal)
+	rt := New(4)
 	var leaves atomic.Int64
 	var dep countDep
 	rounds := 200
@@ -291,9 +274,9 @@ func TestRecycleAcrossSteals(t *testing.T) {
 // every one of their records goes back into circulation.
 func TestRecycleAcrossCancel(t *testing.T) {
 	cause := errors.New("stop")
-	for _, policy := range policies {
-		t.Run(policy.String(), func(t *testing.T) {
-			rt := NewWithPolicy(4, policy)
+	for _, mode := range modes {
+		t.Run(mode, func(t *testing.T) {
+			rt := newRuntime(t, 4, mode)
 			var ran atomic.Int64
 			err := rt.Run(func(f *Frame) {
 				for r := 0; r < 50; r++ {
@@ -331,9 +314,9 @@ func TestRecycleAcrossCancel(t *testing.T) {
 // TestRecycleAcrossPanic ends tasks by panic: the panicking task's record
 // and those of the siblings it cancels are retired like any other.
 func TestRecycleAcrossPanic(t *testing.T) {
-	for _, policy := range policies {
-		t.Run(policy.String(), func(t *testing.T) {
-			rt := NewWithPolicy(4, policy)
+	for _, mode := range modes {
+		t.Run(mode, func(t *testing.T) {
+			rt := newRuntime(t, 4, mode)
 			err := rt.Run(func(f *Frame) {
 				for r := 0; r < 50; r++ {
 					got := f.ScopedCall(func(c *Frame) {

@@ -26,11 +26,11 @@
 // ready. Workers park when the system has no ready work and exit once no
 // Run is active, so an idle Runtime holds no goroutines.
 //
-// The seed scheduler — one goroutine per task gated by a slot semaphore —
-// is retained as PolicyGoroutine so the ablation benchmarks can compare
-// the two substrates (see bench_test.go and cmd/paperbench -sched). The
-// hyperqueue view algebra (internal/core) is order-robust and correct
-// under both child-first and help-first execution orders.
+// This is the only substrate, and nothing selects it: the worker count is
+// the one parameter. Every task, the root included, runs on a pool
+// worker, so a live frame is always bound to one. The hyperqueue view
+// algebra (internal/core) is order-robust, so a program's outcome depends
+// on neither the worker count nor the steal schedule.
 //
 // # Program order
 //
@@ -44,98 +44,17 @@
 package sched
 
 import (
-	"fmt"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
 
-// SpawnPolicy selects the dispatch substrate of a Runtime.
-type SpawnPolicy int32
-
-const (
-	// PolicySteal dispatches tasks through per-worker Chase–Lev deques
-	// with randomized FIFO stealing. This is the default.
-	PolicySteal SpawnPolicy = iota
-	// PolicyGoroutine is the baseline substrate: one goroutine per task,
-	// gated by a slot semaphore. It exists for the scheduler ablation
-	// (stealing runtime vs. channel/semaphore baseline).
-	PolicyGoroutine
-)
-
-func (p SpawnPolicy) String() string {
-	if p == PolicyGoroutine {
-		return "goroutine"
-	}
-	return "steal"
-}
-
-// defaultPolicy is what New uses; it is initialized from the REPRO_SCHED
-// environment variable ("steal" or "goroutine") and may be overridden
-// with SetDefaultPolicy (cmd/paperbench does, for its -sched flag).
-var defaultPolicy atomic.Int32
-
-func init() {
-	switch v := os.Getenv("REPRO_SCHED"); v {
-	case "", "steal":
-	case "goroutine":
-		defaultPolicy.Store(int32(PolicyGoroutine))
-	default:
-		// A typo here would silently corrupt ablation results; be loud.
-		fmt.Fprintf(os.Stderr, "sched: ignoring unknown REPRO_SCHED=%q (want steal or goroutine); using steal\n", v)
-	}
-}
-
-// SetDefaultPolicy sets the substrate New gives future runtimes.
-func SetDefaultPolicy(p SpawnPolicy) { defaultPolicy.Store(int32(p)) }
-
-// DefaultPolicy reports the substrate New gives future runtimes.
-func DefaultPolicy() SpawnPolicy { return SpawnPolicy(defaultPolicy.Load()) }
-
 // stealBatchMax bounds how many tasks one steal sweep may take (and sizes
-// the per-worker steal buffer). Steal-half amortizes the victim scan over
-// a run of tasks, but an unbounded grab would let one thief hoard a long
-// run while siblings idle; 8 keeps the hoard no larger than one deque
+// the per-worker steal buffer): a thief takes up to min(stealBatchMax,
+// half the victim's visible run). Steal-half amortizes the victim scan
+// over a run of tasks, but an unbounded grab would let one thief hoard a
+// long run while siblings idle; 8 keeps the hoard no larger than one deque
 // refill.
 const stealBatchMax = 8
-
-// defaultStealBatch is the steal batch cap New gives future runtimes:
-// a thief takes up to min(cap, half the victim's visible run) tasks per
-// steal. Cap 1 is exactly the classic single-task Chase–Lev steal and is
-// kept as the ablation comparison mode (REPRO_STEAL_BATCH=1).
-var defaultStealBatch atomic.Int32
-
-func init() {
-	defaultStealBatch.Store(stealBatchMax)
-	if v := os.Getenv("REPRO_STEAL_BATCH"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			// A typo would silently corrupt ablation results; be loud.
-			fmt.Fprintf(os.Stderr, "sched: ignoring invalid REPRO_STEAL_BATCH=%q (want integer >= 1); using %d\n", v, stealBatchMax)
-			return
-		}
-		if n > stealBatchMax {
-			n = stealBatchMax
-		}
-		defaultStealBatch.Store(int32(n))
-	}
-}
-
-// SetStealBatchCap sets the steal batch cap New gives future runtimes
-// (clamped to [1, 8]). It does not affect runtimes already built.
-func SetStealBatchCap(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > stealBatchMax {
-		n = stealBatchMax
-	}
-	defaultStealBatch.Store(int32(n))
-}
-
-// StealBatchCap reports the steal batch cap New gives future runtimes.
-func StealBatchCap() int { return int(defaultStealBatch.Load()) }
 
 // Runtime is a task scheduler with a fixed number of workers. The number
 // of workers plays the role of the number of cores in the paper's
@@ -143,18 +62,14 @@ func StealBatchCap() int { return int(defaultStealBatch.Load()) }
 // when the worker count changes.
 type Runtime struct {
 	workers int
-	policy  SpawnPolicy
 
-	// PolicyGoroutine state: the slot semaphore.
-	slots chan struct{}
-
-	// PolicySteal state: run tokens plus the worker pool (worker.go).
+	// Run tokens plus the worker pool (worker.go).
 	tokens chan struct{}
 	pool   pool
 
 	// Cancellation state (cancel.go): the scopes of in-flight Runs, the
 	// terminal runtime-wide cancellation cause set by Runtime.Cancel, and
-	// the robustness counters (both policies).
+	// the robustness counters.
 	cancelMu     sync.Mutex
 	rtErr        error
 	scopes       map[*CancelScope]struct{}
@@ -190,41 +105,22 @@ func (rt *Runtime) Shared(key any, create func() any) any {
 	return v
 }
 
-// New returns a runtime with the given number of workers (minimum 1),
-// using the default spawn policy.
-func New(workers int) *Runtime { return NewWithPolicy(workers, DefaultPolicy()) }
-
-// NewWithPolicy returns a runtime with the given number of workers
-// (minimum 1) on an explicitly chosen dispatch substrate.
-func NewWithPolicy(workers int, policy SpawnPolicy) *Runtime {
+// New returns a runtime with the given number of workers (minimum 1).
+func New(workers int) *Runtime {
 	if workers < 1 {
 		workers = 1
 	}
-	rt := &Runtime{workers: workers, policy: policy}
-	switch policy {
-	case PolicyGoroutine:
-		rt.slots = make(chan struct{}, workers)
-		for i := 0; i < workers; i++ {
-			rt.slots <- struct{}{}
-		}
-	default:
-		rt.tokens = make(chan struct{}, workers)
-		for i := 0; i < workers; i++ {
-			rt.tokens <- struct{}{}
-		}
-		rt.pool.init(rt)
+	rt := &Runtime{workers: workers}
+	rt.tokens = make(chan struct{}, workers)
+	for i := 0; i < workers; i++ {
+		rt.tokens <- struct{}{}
 	}
+	rt.pool.init(rt)
 	return rt
 }
 
 // Workers reports the number of workers.
 func (rt *Runtime) Workers() int { return rt.workers }
-
-// Policy reports the dispatch substrate this runtime uses.
-func (rt *Runtime) Policy() SpawnPolicy { return rt.policy }
-
-func (rt *Runtime) acquire() { <-rt.slots }
-func (rt *Runtime) release() { rt.slots <- struct{}{} }
 
 func (rt *Runtime) acquireToken() { <-rt.tokens }
 func (rt *Runtime) releaseToken() { rt.tokens <- struct{}{} }
@@ -232,12 +128,11 @@ func (rt *Runtime) releaseToken() { rt.tokens <- struct{}{} }
 // Run executes fn as the root frame and returns when it and all of its
 // descendants have completed. It is the only entry point into the
 // runtime. Run may be called repeatedly (and concurrently from distinct
-// goroutines, sharing the workers). As in the seed scheduler, a nested
-// Run from inside a running task needs a spare worker to make progress:
-// the calling task keeps its own capacity while it waits, so on a
-// one-worker runtime a nested Run deadlocks (under PolicySteal a
-// compensating worker is still woken, so nested Run works whenever
-// workers >= 2).
+// goroutines, sharing the workers). A nested Run from inside a running
+// task needs a spare worker to make progress: the calling task keeps its
+// own capacity while it waits, so on a one-worker runtime a nested Run
+// deadlocks (a compensating worker is still woken, so nested Run works
+// whenever workers >= 2).
 //
 // A panic inside any task is captured so the rest of the task tree can
 // quiesce (dependences are still released — values a producer pushed
@@ -257,30 +152,17 @@ func (rt *Runtime) Run(fn func(*Frame)) error {
 	root.rt = rt
 	scope := rt.beginRun()
 	root.scope = scope
-	if rt.policy == PolicyGoroutine {
-		rt.acquire()
-		func() {
-			defer root.recoverTask()
-			if !scope.Canceled() {
-				fn(root)
-			}
-		}()
-		root.Sync()
-		rt.release()
-		root.gen++
-	} else {
-		root.body = fn
-		root.done = make(chan struct{})
-		rt.pool.runBegin()
-		rt.pool.inject(root)
-		// Wait as a blocked context: if the caller is itself a task (a
-		// nested Run), compensation keeps the pool making progress; for
-		// a plain external caller the dip in navail is harmless.
-		rt.pool.blockBegin()
-		<-root.done
-		rt.pool.blockEnd()
-		rt.pool.runEnd()
-	}
+	root.body = fn
+	root.done = make(chan struct{})
+	rt.pool.runBegin()
+	rt.pool.inject(root)
+	// Wait as a blocked context: if the caller is itself a task (a nested
+	// Run), compensation keeps the pool making progress; for a plain
+	// external caller the dip in navail is harmless.
+	rt.pool.blockBegin()
+	<-root.done
+	rt.pool.blockEnd()
+	rt.pool.runEnd()
 	return rt.endRun(scope)
 }
 
@@ -289,9 +171,9 @@ func (rt *Runtime) Run(fn func(*Frame)) error {
 // task — what it runs (body, spawn-time deps, completion signal), where
 // it sits in program order, its child accounting, and the per-task state
 // dependence implementations hang off it (attachments, sync hooks). A
-// spawn takes one such record and nothing else; under PolicySteal the
-// record is recycled through the executing worker's free list when the
-// task returns (worker.go).
+// spawn takes one such record and nothing else; the record is recycled
+// through the executing worker's free list when the task returns
+// (worker.go).
 //
 // That makes the lifetime rule strict: a *Frame is valid from the spawn
 // that created it until its task has returned — body, implicit sync and
@@ -335,12 +217,10 @@ type Frame struct {
 	// the top of the ScopedCall wrapper body), read by park sites.
 	scope *CancelScope
 
-	// worker is the worker currently executing this frame's task, set by
-	// the stealing substrate for the duration of the task. inBlock marks
-	// that the frame holds no execution capacity: it is inside a Block
-	// region (its token or slot is released) or, on the goroutine
-	// substrate, still at its dep gates. Both are touched only by the
-	// frame's own goroutine.
+	// worker is the worker currently executing this frame's task, set for
+	// the duration of the task. inBlock marks that the frame holds no
+	// execution capacity: it is inside a Block region (its token is
+	// released). Both are touched only by the frame's own goroutine.
 	worker  *worker
 	inBlock bool
 
@@ -508,9 +388,8 @@ func (f *Frame) IsAncestorOf(g *Frame) bool {
 
 // Block runs wait while temporarily giving up the calling task's
 // execution capacity, so that a blocked task never starves runnable
-// ones. Under PolicySteal it releases the task's run token and ensures a
-// compensating worker can drain the deques; under PolicyGoroutine it
-// releases the slot semaphore. It must only be called from inside a
+// ones: it releases the task's run token and ensures a compensating
+// worker can drain the deques. It must only be called from inside a
 // running task, on that task's own frame.
 // Block is panic-safe: the capacity bookkeeping is restored by defers, so
 // a wait that unwinds (a park site raising CancelUnwind/AbortUnwind after
@@ -519,27 +398,18 @@ func (f *Frame) IsAncestorOf(g *Frame) bool {
 func (f *Frame) Block(wait func()) {
 	f.checkLive()
 	rt := f.rt
-	if f.inBlock || (rt.policy != PolicyGoroutine && f.worker == nil) {
+	if f.inBlock {
 		// Nothing to give up: a re-entrant block (a queue wait inside a
-		// dep gate), or a dep gate of the goroutine substrate, which runs
-		// before the task has a slot.
+		// dep gate).
 		wait()
 		return
 	}
 	f.inBlock = true
-	if rt.policy == PolicyGoroutine {
-		rt.release()
-	} else {
-		rt.releaseToken()
-		rt.pool.blockBegin()
-	}
+	rt.releaseToken()
+	rt.pool.blockBegin()
 	defer func() {
-		if rt.policy == PolicyGoroutine {
-			rt.acquire()
-		} else {
-			rt.pool.blockEnd()
-			rt.acquireToken()
-		}
+		rt.pool.blockEnd()
+		rt.acquireToken()
 		f.inBlock = false
 	}()
 	wait()
@@ -554,9 +424,8 @@ func (f *Frame) Block(wait func()) {
 //     queues).
 //   - Wait is called in the child's context before the child's body runs;
 //     it blocks until the dependence allows the child to start. Blocking
-//     here does not consume execution capacity: the stealing substrate
-//     wraps gated Waits in a Block region, and the goroutine substrate
-//     runs Wait before the child acquires its slot.
+//     here does not consume execution capacity: the runtime wraps gated
+//     Waits in a Block region.
 //   - Complete is called in the child's context after the child's body
 //     and implicit sync have finished, and before the parent's Sync can
 //     observe the child as done.
@@ -661,12 +530,7 @@ func (f *Frame) spawnBatch(n int, children []BatchChild, fn func(*Frame, int), d
 		return
 	}
 	w := f.worker
-	var wave []*Frame
-	if w != nil {
-		wave = w.wave[:0]
-	} else {
-		wave = make([]*Frame, 0, n)
-	}
+	wave := w.wave[:0]
 	reused := 0
 	// Deferred so that it also runs when a Prepare panics (a programming
 	// error such as the privilege subset rule): the failing child and the
@@ -675,10 +539,8 @@ func (f *Frame) spawnBatch(n int, children []BatchChild, fn func(*Frame, int), d
 	// published before the panic continues.
 	defer func() {
 		f.publishBatch(wave, reused)
-		if w != nil {
-			clear(wave)
-			w.wave = wave[:0]
-		}
+		clear(wave)
+		w.wave = wave[:0]
 	}()
 	for i := 0; i < n; i++ {
 		c, r := f.newChild()
@@ -706,22 +568,8 @@ func (f *Frame) publishBatch(wave []*Frame, reused int) {
 		return
 	}
 	f.addLive(n)
+	f.worker.dq.PushBatch(wave)
 	rt := f.rt
-	if rt.policy == PolicyGoroutine {
-		for _, c := range wave {
-			go rt.runTaskGoroutine(c)
-		}
-		return
-	}
-	if w := f.worker; w != nil {
-		w.dq.PushBatch(wave)
-	} else {
-		// Spawn from a frame not currently bound to a worker (defensive;
-		// the Frame contract makes this unreachable from user code).
-		for _, c := range wave {
-			rt.pool.pushGlobal(c)
-		}
-	}
 	st := &rt.pool.stats
 	st.Spawns.Add(uint64(n))
 	if reused > 0 {
@@ -733,38 +581,6 @@ func (f *Frame) publishBatch(wave []*Frame, reused int) {
 	rt.pool.ensureWorkers(n)
 }
 
-// runTaskGoroutine is the PolicyGoroutine execution path: the seed
-// scheduler's goroutine-per-task protocol, kept as the ablation baseline.
-// A canceled scope skips the dep gates and the body (their unwinds are
-// absorbed the same way), but the sync and completion protocol always
-// runs, so the parent's live-child accounting and the queue view deposits
-// stay balanced across an abort. Records are not recycled here: the task
-// goroutines have no worker to cache them on.
-func (rt *Runtime) runTaskGoroutine(c *Frame) {
-	skip := c.scope.Canceled()
-	if !skip {
-		c.inBlock = true // no slot yet: a gate that parks has nothing to release
-		func() {
-			defer c.recoverTask()
-			for _, d := range c.deps() {
-				d.Wait(c)
-			}
-		}()
-		c.inBlock = false
-		skip = c.scope.Canceled()
-	}
-	rt.acquire()
-	if !skip {
-		func() {
-			defer c.recoverTask()
-			c.runBody()
-		}()
-	}
-	c.Sync()
-	rt.release()
-	c.finish()
-}
-
 // runBody calls the task's body in whichever form it was spawned.
 func (c *Frame) runBody() {
 	if c.bodyN != nil {
@@ -774,12 +590,12 @@ func (c *Frame) runBody() {
 	}
 }
 
-// finish runs the completion protocol shared by both substrates: dep
-// Complete calls in the child's context, the done signal, and the
-// parent's live-child accounting. The frame is marked as returned before
-// anyone is told, so whoever learns of the completion also sees the mark.
-// Once the parent's lock is released the parent may return and its record
-// be recycled, so nothing touches it after that.
+// finish runs the completion protocol: dep Complete calls in the child's
+// context, the done signal, and the parent's live-child accounting. The
+// frame is marked as returned before anyone is told, so whoever learns of
+// the completion also sees the mark. Once the parent's lock is released
+// the parent may return and its record be recycled, so nothing touches it
+// after that.
 func (c *Frame) finish() {
 	p := c.parent
 	for _, d := range c.deps() {
@@ -814,10 +630,10 @@ func (c *Frame) finish() {
 // is pushed back (same deque position) and stays stealable; we fall
 // through to the Block path instead.
 func (f *Frame) helpLocal(quit func() bool) {
-	w := f.worker
-	if w == nil || f.inBlock {
+	if f.inBlock {
 		return
 	}
+	w := f.worker
 	for !quit() {
 		c := w.dq.PopPtr()
 		if c == nil {
@@ -835,24 +651,22 @@ func (f *Frame) helpLocal(quit func() bool) {
 // its dependence completions. The paper treats calls like spawns for
 // hyperqueue purposes (§4.2, "Call and return from call with push
 // privileges"); a call simply foregoes concurrency with the continuation.
-// Under PolicySteal the child is usually still at the bottom of the
-// caller's deque and runs inline via helpLocal.
+// The child is usually still at the bottom of the caller's deque and runs
+// inline via helpLocal.
 func (f *Frame) Call(fn func(*Frame), deps ...Dep) {
 	done := make(chan struct{})
 	f.spawn(fn, done, deps)
-	if f.rt.policy != PolicyGoroutine {
-		closed := func() bool {
-			select {
-			case <-done:
-				return true
-			default:
-				return false
-			}
+	closed := func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
 		}
-		f.helpLocal(closed)
-		if closed() {
-			return
-		}
+	}
+	f.helpLocal(closed)
+	if closed() {
+		return
 	}
 	f.Block(func() { <-done })
 }
@@ -864,7 +678,7 @@ func (f *Frame) Call(fn func(*Frame), deps ...Dep) {
 // §4.2 "Sync").
 func (f *Frame) Sync() {
 	f.checkLive()
-	if f.rt.policy != PolicyGoroutine && !f.quiet() {
+	if !f.quiet() {
 		// Help first: run our own pending children (and their descendants)
 		// off the local deque instead of parking immediately.
 		f.helpLocal(f.quiet)
@@ -924,8 +738,7 @@ func (f *Frame) AddSyncHook(h SyncHook) {
 func (f *Frame) Parallel() bool { return f.rt.workers > 1 }
 
 // WorkerID returns a small non-negative integer identifying the worker
-// currently executing this frame's task, or 0 when the frame is not bound
-// to a pool worker (the goroutine substrate, or an external Run caller).
+// currently executing this frame's task, or 0 once the task has returned.
 // IDs are stable for the duration of one task body, dense enough to index
 // small sharded caches (the hyperqueue's segment pool shards by it), and
 // never negative. It must only be called from the frame's own goroutine.

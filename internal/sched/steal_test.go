@@ -14,7 +14,7 @@ import (
 // children and blocks on a channel a child closes, so every child must
 // arrive at its executing worker via a FIFO steal.
 func TestStealsExtractBuriedWork(t *testing.T) {
-	rt := NewWithPolicy(2, PolicySteal)
+	rt := New(2)
 	var n atomic.Int64
 	ch := make(chan struct{})
 	rt.Run(func(f *Frame) {
@@ -60,27 +60,18 @@ func treeHash(f *Frame, depth, branch int, seed uint64) uint64 {
 	return h
 }
 
-// TestDeterminismAcrossWorkersAndPolicies runs the same deep spawn tree
-// at P=1, P=NumCPU and under both substrates; the reduction must be
-// identical (the scale-free property: nothing in the program depends on
-// the worker count or the scheduler).
-func TestDeterminismAcrossWorkersAndPolicies(t *testing.T) {
+// TestDeterminismAcrossWorkers runs the same deep spawn tree at P=1, P=2
+// and P=NumCPU; the reduction must be identical. Scale-free means only the
+// worker count varies: nothing in the program depends on it.
+func TestDeterminismAcrossWorkers(t *testing.T) {
 	depth, branch := 7, 3
 	if testing.Short() {
 		depth = 5
 	}
 	var want uint64
-	for i, cfg := range []struct {
-		workers int
-		policy  SpawnPolicy
-	}{
-		{1, PolicySteal},
-		{runtime.NumCPU(), PolicySteal},
-		{2, PolicySteal},
-		{runtime.NumCPU(), PolicyGoroutine},
-	} {
+	for i, workers := range []int{1, runtime.NumCPU(), 2} {
 		var got uint64
-		NewWithPolicy(cfg.workers, cfg.policy).Run(func(f *Frame) {
+		New(workers).Run(func(f *Frame) {
 			got = treeHash(f, depth, branch, 42)
 		})
 		if i == 0 {
@@ -88,7 +79,7 @@ func TestDeterminismAcrossWorkersAndPolicies(t *testing.T) {
 			continue
 		}
 		if got != want {
-			t.Fatalf("P=%d policy=%v: hash %#x, want %#x (P=1 steal)", cfg.workers, cfg.policy, got, want)
+			t.Fatalf("P=%d: hash %#x, want %#x (P=1)", workers, got, want)
 		}
 	}
 }
@@ -114,7 +105,7 @@ func TestStealTorture(t *testing.T) {
 		f.Spawn(func(c *Frame) { n.Add(1) })
 		f.Sync()
 	}
-	rt := NewWithPolicy(runtime.NumCPU(), PolicySteal)
+	rt := New(runtime.NumCPU())
 	rt.Run(func(f *Frame) { rec(f, depth) })
 	want := int64(depth + 1 + 2*depth)
 	if n.Load() != want {
@@ -132,7 +123,7 @@ func TestWideFanoutStress(t *testing.T) {
 	for _, workers := range []int{1, 2, runtime.NumCPU()} {
 		t.Run(fmt.Sprintf("P=%d", workers), func(t *testing.T) {
 			var n atomic.Int64
-			rt := NewWithPolicy(workers, PolicySteal)
+			rt := New(workers)
 			rt.Run(func(f *Frame) {
 				for i := 0; i < total; i++ {
 					f.Spawn(func(*Frame) { n.Add(1) })
@@ -149,18 +140,14 @@ func TestWideFanoutStress(t *testing.T) {
 	}
 }
 
-// TestStealBatchModes runs the determinism tree and the buried-work
-// pattern under both steal modes: steal-half (the default) and the
-// single-steal comparison mode. Results must be identical, and under
-// batching a sweep must be able to take more than one task.
+// TestStealBatchModes runs the determinism tree with steal-half batching
+// at P=NumCPU: the result must match the steal-free P=1 run, and the
+// stolen-task count can never fall below the sweep count.
 func TestStealBatchModes(t *testing.T) {
-	orig := StealBatchCap()
-	defer SetStealBatchCap(orig)
 	depth, branch := 6, 3
 	var want uint64
-	for i, cap := range []int{1, stealBatchMax} {
-		SetStealBatchCap(cap)
-		rt := NewWithPolicy(runtime.NumCPU(), PolicySteal)
+	for i, workers := range []int{1, runtime.NumCPU()} {
+		rt := New(workers)
 		var got uint64
 		rt.Run(func(f *Frame) {
 			got = treeHash(f, depth, branch, 7)
@@ -168,14 +155,10 @@ func TestStealBatchModes(t *testing.T) {
 		if i == 0 {
 			want = got
 		} else if got != want {
-			t.Fatalf("stealCap=%d: hash %#x, want %#x (stealCap=1)", cap, got, want)
+			t.Fatalf("P=%d: hash %#x, want %#x (P=1)", workers, got, want)
 		}
-		s := rt.Stats()
-		if s.StolenTasks < s.Steals {
-			t.Fatalf("stealCap=%d: StolenTasks=%d < Steals=%d", cap, s.StolenTasks, s.Steals)
-		}
-		if cap == 1 && s.StolenTasks != s.Steals {
-			t.Fatalf("stealCap=1: StolenTasks=%d != Steals=%d", s.StolenTasks, s.Steals)
+		if s := rt.Stats(); s.StolenTasks < s.Steals {
+			t.Fatalf("P=%d: StolenTasks=%d < Steals=%d", workers, s.StolenTasks, s.Steals)
 		}
 	}
 }
@@ -184,10 +167,7 @@ func TestStealBatchModes(t *testing.T) {
 // wide run: a buried owner's whole backlog must drain through batch
 // steals, and the extras parked in a thief's deque must not be lost.
 func TestStealBatchExtractsBuriedRun(t *testing.T) {
-	orig := StealBatchCap()
-	defer SetStealBatchCap(orig)
-	SetStealBatchCap(stealBatchMax)
-	rt := NewWithPolicy(2, PolicySteal)
+	rt := New(2)
 	const total = 64
 	var n atomic.Int64
 	ch := make(chan struct{})
@@ -222,7 +202,7 @@ func (rt *Runtime) workersAlive() int {
 // than work, the surplus workers must park (not spin) while the run is
 // active, wake for new work, and exit once the runtime quiesces.
 func TestIdleParkAndQuiesce(t *testing.T) {
-	rt := NewWithPolicy(4, PolicySteal)
+	rt := New(4)
 	var n atomic.Int64
 	rt.Run(func(f *Frame) {
 		// Phase 1: a lone slow task; compensating workers find nothing
@@ -270,7 +250,7 @@ func TestIdleParkAndQuiesce(t *testing.T) {
 // moving and the P-bound must hold.
 func TestBlockCompensationUnderPressure(t *testing.T) {
 	const workers = 2
-	rt := NewWithPolicy(workers, PolicySteal)
+	rt := New(workers)
 	var cur, peak atomic.Int64
 	gate := make(chan struct{})
 	var reached atomic.Int64
@@ -322,7 +302,7 @@ func TestBlockCompensationUnderPressure(t *testing.T) {
 // worker (workers >= 2), Run called from inside a running task
 // compensates for the buried caller and completes.
 func TestNestedRunFromTask(t *testing.T) {
-	rt := NewWithPolicy(2, PolicySteal)
+	rt := New(2)
 	var inner atomic.Int64
 	done := make(chan struct{})
 	go func() {
@@ -343,50 +323,5 @@ func TestNestedRunFromTask(t *testing.T) {
 	}
 	if inner.Load() != 8 {
 		t.Fatalf("nested run executed %d tasks, want 8", inner.Load())
-	}
-}
-
-// TestGoroutinePolicyBaseline keeps the ablation baseline functional: the
-// same programs must run under PolicyGoroutine, and its Stats are zero.
-func TestGoroutinePolicyBaseline(t *testing.T) {
-	rt := NewWithPolicy(4, PolicyGoroutine)
-	if rt.Policy() != PolicyGoroutine {
-		t.Fatalf("Policy() = %v", rt.Policy())
-	}
-	var n atomic.Int64
-	rt.Run(func(f *Frame) {
-		var rec func(f *Frame, d int)
-		rec = func(f *Frame, d int) {
-			n.Add(1)
-			if d == 0 {
-				return
-			}
-			for i := 0; i < 2; i++ {
-				f.Spawn(func(c *Frame) { rec(c, d-1) })
-			}
-			f.Sync()
-		}
-		rec(f, 6)
-	})
-	if n.Load() != 127 {
-		t.Fatalf("ran %d frames, want 127", n.Load())
-	}
-	if s := rt.Stats(); s != (Stats{}) {
-		t.Errorf("goroutine policy reported nonzero stats: %+v", s)
-	}
-}
-
-// TestSetDefaultPolicy pins the New ↔ SetDefaultPolicy contract used by
-// cmd/paperbench's -sched flag.
-func TestSetDefaultPolicy(t *testing.T) {
-	orig := DefaultPolicy()
-	defer SetDefaultPolicy(orig)
-	SetDefaultPolicy(PolicyGoroutine)
-	if got := New(2).Policy(); got != PolicyGoroutine {
-		t.Fatalf("New after SetDefaultPolicy(goroutine): policy %v", got)
-	}
-	SetDefaultPolicy(PolicySteal)
-	if got := New(2).Policy(); got != PolicySteal {
-		t.Fatalf("New after SetDefaultPolicy(steal): policy %v", got)
 	}
 }

@@ -7,10 +7,8 @@ import (
 	"repro/internal/deque"
 )
 
-// Stats is a snapshot of scheduler counters. The deque/steal counters
-// are PolicySteal only (the goroutine substrate reports zeros there);
-// CanceledRuns and TaskPanics are runtime-level and count under both
-// substrates.
+// Stats is a snapshot of scheduler counters. CanceledRuns and TaskPanics
+// are runtime-level; the rest are kept by the worker pool.
 type Stats struct {
 	Spawns         uint64 // tasks pushed onto deques
 	TaskAllocs     uint64 // of those, task records allocated fresh
@@ -27,12 +25,6 @@ type Stats struct {
 
 // Stats reports a snapshot of the runtime's scheduler counters.
 func (rt *Runtime) Stats() Stats {
-	if rt.policy == PolicyGoroutine {
-		return Stats{
-			CanceledRuns: rt.canceledRuns.Load(),
-			TaskPanics:   rt.taskPanics.Load(),
-		}
-	}
 	p := &rt.pool
 	p.mu.Lock()
 	blocked := p.blocked
@@ -63,9 +55,9 @@ type statCounters struct {
 	WorkersStarted atomic.Uint64
 }
 
-// pool is the PolicySteal worker pool. Workers are started on demand,
-// park when the system has no ready work, and exit once no Run is active,
-// so an idle Runtime holds no goroutines.
+// pool is the worker pool. Workers are started on demand, park when the
+// system has no ready work, and exit once no Run is active, so an idle
+// Runtime holds no goroutines.
 //
 // Capacity accounting: navail counts worker goroutines able to make
 // progress on new work — alive minus parked minus blocked-in-task. The
@@ -91,17 +83,11 @@ type pool struct {
 	victims atomic.Pointer[[]*worker]
 	seed    atomic.Uint64
 	stats   statCounters
-
-	// stealCap is the per-sweep steal batch cap (steal-half up to this
-	// many tasks), frozen at runtime construction from the package
-	// default so a running pool never mixes modes.
-	stealCap int
 }
 
 func (p *pool) init(rt *Runtime) {
 	p.rt = rt
 	p.cond = sync.NewCond(&p.mu)
-	p.stealCap = StealBatchCap()
 	v := []*worker{}
 	p.victims.Store(&v)
 }
@@ -354,11 +340,12 @@ func (w *worker) rand() uint64 {
 
 // find returns the next task: local LIFO pop, then the global injection
 // queue, then one randomized steal sweep over the victim deques. A sweep
-// takes up to half the first non-empty victim's run (capped at the pool's
-// stealCap): the first task runs now and the rest go into our own deque,
-// where they stay visible to other thieves and to park's work check. The
-// extras are run only from the top level of the worker loop or re-stolen
-// — helpLocal's descendant guard keeps them from being buried mid-Sync.
+// takes up to half the first non-empty victim's run (capped at
+// stealBatchMax): the first task runs now and the rest go into our own
+// deque, where they stay visible to other thieves and to park's work
+// check. The extras are run only from the top level of the worker loop or
+// re-stolen — helpLocal's descendant guard keeps them from being buried
+// mid-Sync.
 func (w *worker) find() *Frame {
 	if t := w.dq.PopPtr(); t != nil {
 		return t
@@ -377,16 +364,7 @@ func (w *worker) find() *Frame {
 		if v == w {
 			continue
 		}
-		if w.p.stealCap <= 1 {
-			// Ablation comparison mode: classic single-task steal.
-			if t := v.dq.StealPtr(); t != nil {
-				w.p.stats.Steals.Add(1)
-				w.p.stats.StolenTasks.Add(1)
-				return t
-			}
-			continue
-		}
-		if k := v.dq.StealBatch(w.sbuf[:w.p.stealCap]); k > 0 {
+		if k := v.dq.StealBatch(w.sbuf[:]); k > 0 {
 			w.p.stats.Steals.Add(1)
 			w.p.stats.StolenTasks.Add(uint64(k))
 			t := w.sbuf[0]

@@ -15,7 +15,7 @@ import (
 // drift through each other rather than always coinciding.
 //
 // A Config is part of the replay identity: a failure is reproduced by
-// (config name, policy, window seed, window length, fault step), so the
+// (config name, window seed, window length, fault step), so the
 // presets registered here must never change semantics under an existing
 // name — add a new name instead.
 type Config struct {

@@ -73,8 +73,6 @@ const (
 type Options struct {
 	// Workers is the runtime worker count (default 4).
 	Workers int
-	// Policy selects the scheduling substrate.
-	Policy swan.SpawnPolicy
 	// FaultStep, when > 0, injects a deliberate bug at that global
 	// 1-based step: the harness must detect it and the failure must
 	// replay deterministically. This is the harness's own smoke test — a
@@ -116,7 +114,6 @@ type Report struct {
 // with the failing window's wseed.
 type Failure struct {
 	Config    string
-	Policy    string
 	Workers   int
 	Window    int64  // index of the failing window in the original run
 	WSeed     uint64 // the window's seed — the replay seed
@@ -133,8 +130,8 @@ type Failure struct {
 // failing window.
 func (fl *Failure) FailLine() string {
 	cmd := fmt.Sprintf(
-		"go run ./cmd/soakfuzz -config %s -policy %s -workers %d -seed %d -steps %d",
-		fl.Config, fl.Policy, fl.Workers, fl.WSeed, fl.Steps)
+		"go run ./cmd/soakfuzz -config %s -workers %d -seed %d -steps %d",
+		fl.Config, fl.Workers, fl.WSeed, fl.Steps)
 	if fl.Fault > 0 {
 		cmd += fmt.Sprintf(" -fault %d", fl.Fault)
 		if fl.FaultKind != "" && fl.FaultKind != FaultValue {
@@ -142,27 +139,8 @@ func (fl *Failure) FailLine() string {
 		}
 	}
 	return fmt.Sprintf(
-		"FAIL soak config=%s policy=%s window=%d wseed=%d step=%d: %s\nreplay: %s",
-		fl.Config, fl.Policy, fl.Window, fl.WSeed, fl.Step, fl.Msg, cmd)
-}
-
-// PolicyName renders a SpawnPolicy as the -policy flag spelling.
-func PolicyName(p swan.SpawnPolicy) string {
-	if p == swan.PolicyGoroutine {
-		return "goroutine"
-	}
-	return "steal"
-}
-
-// ParsePolicy is the inverse of PolicyName.
-func ParsePolicy(s string) (swan.SpawnPolicy, error) {
-	switch s {
-	case "steal":
-		return swan.PolicySteal, nil
-	case "goroutine":
-		return swan.PolicyGoroutine, nil
-	}
-	return swan.PolicySteal, fmt.Errorf("unknown policy %q (want steal or goroutine)", s)
+		"FAIL soak config=%s window=%d wseed=%d step=%d: %s\nreplay: %s",
+		fl.Config, fl.Window, fl.WSeed, fl.Step, fl.Msg, cmd)
 }
 
 // Runner drives soak windows against one long-lived runtime.
@@ -239,7 +217,7 @@ func New(cfg Config, opt Options) (*Runner, error) {
 // duration.
 func (r *Runner) Run(seed uint64, steps int64) (Report, *Failure) {
 	swan.SetQueueDebugChecks(true)
-	rt := r.setCurrent(swan.NewWithPolicy(r.opt.Workers, r.opt.Policy))
+	rt := r.setCurrent(swan.New(r.opt.Workers))
 	var done, window int64
 	for done < steps {
 		if r.Stopped() {
@@ -272,7 +250,7 @@ func (r *Runner) Run(seed uint64, steps int64) (Report, *Failure) {
 			// digest folds every value every oracle saw, so a single
 			// reordered or corrupted element diverges it.
 			var retired2 uint64
-			res2, fail2 := r.runWindow(r.setCurrent(swan.NewWithPolicy(r.opt.Workers, r.opt.Policy)),
+			res2, fail2 := r.runWindow(r.setCurrent(swan.New(r.opt.Workers)),
 				&retired2, wseed, n, fault)
 			r.setCurrent(rt)
 			switch {
@@ -305,7 +283,7 @@ func (r *Runner) Run(seed uint64, steps int64) (Report, *Failure) {
 			// segment pools — so pooled-segment reuse, and the audit
 			// balance, span rebuild boundaries.
 			old := rt
-			rt = r.setCurrent(swan.NewWithPolicy(r.opt.Workers, r.opt.Policy))
+			rt = r.setCurrent(swan.New(r.opt.Workers))
 			core.CarryProvider(old, rt)
 			r.rep.Rebuilds++
 		}
@@ -320,14 +298,14 @@ func (r *Runner) Run(seed uint64, steps int64) (Report, *Failure) {
 // WindowDigest executes a single window in isolation on a fresh runtime
 // and returns its digest. It is the determinism test hook: the digest
 // must depend only on (config, wseed, steps, fault) — never on the
-// policy, the worker count, or scheduling luck.
+// worker count or scheduling luck.
 func WindowDigest(cfg Config, opt Options, wseed uint64, steps int64) ([sha256.Size]byte, *Failure) {
 	r, err := New(cfg, opt)
 	if err != nil {
 		return [sha256.Size]byte{}, &Failure{Msg: err.Error()}
 	}
 	swan.SetQueueDebugChecks(true)
-	rt := swan.NewWithPolicy(r.opt.Workers, r.opt.Policy)
+	rt := swan.New(r.opt.Workers)
 	var fault int64
 	if fs := r.opt.FaultStep; fs > 0 && fs <= steps {
 		fault = fs
@@ -348,7 +326,6 @@ func (r *Runner) report(rt *swan.Runtime) Report {
 
 func (r *Runner) decorate(fail *Failure, window int64, wseed uint64, n, done int64) {
 	fail.Config = r.cfg.Name
-	fail.Policy = PolicyName(r.opt.Policy)
 	fail.Workers = r.opt.Workers
 	fail.Window = window
 	fail.WSeed = wseed

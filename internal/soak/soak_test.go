@@ -1,24 +1,14 @@
 package soak
 
 import (
+	"flag"
 	"strings"
 	"testing"
-
-	"repro/swan"
 )
 
-var policies = []struct {
-	name string
-	p    swan.SpawnPolicy
-}{
-	{"steal", swan.PolicySteal},
-	{"goroutine", swan.PolicyGoroutine},
-}
-
-// TestSoakShort runs a bounded soak under both scheduling policies: no
-// oracle may fire, and every op class the ci config stripes in must
-// actually have run — a soak that silently skips its sweeps or audits
-// proves nothing.
+// TestSoakShort runs a bounded soak: no oracle may fire, and every op
+// class the ci config stripes in must actually have run — a soak that
+// silently skips its sweeps or audits proves nothing.
 func TestSoakShort(t *testing.T) {
 	steps := int64(24_000)
 	if testing.Short() {
@@ -30,50 +20,50 @@ func TestSoakShort(t *testing.T) {
 	if !ok {
 		t.Fatal("ci config missing")
 	}
-	for _, pol := range policies {
-		pol := pol
-		t.Run(pol.name, func(t *testing.T) {
-			r, err := New(cfg, Options{Workers: 4, Policy: pol.p})
-			if err != nil {
-				t.Fatal(err)
+	// The subtest keeps the name it had when the soak also ran on a
+	// second scheduler; the seed is the one that run used.
+	t.Run("steal", func(t *testing.T) {
+		r, err := New(cfg, Options{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, fail := r.Run(0x50a9, steps)
+		if fail != nil {
+			t.Fatalf("soak failed:\n%s\nop log:\n%s", fail.FailLine(), fail.OpLog)
+		}
+		if rep.Steps != steps {
+			t.Fatalf("ran %d steps, want %d", rep.Steps, steps)
+		}
+		for name, n := range map[string]int64{
+			"sweeps":   rep.Sweeps,
+			"audits":   rep.Audits,
+			"recycles": rep.Recycles,
+			"qchecks":  rep.Qchecks,
+			"shardeds": rep.Shardeds,
+			"handoffs": rep.Handoffs,
+			"rebuilds": rep.Rebuilds,
+			"replays":  rep.Replays,
+		} {
+			if n == 0 {
+				t.Errorf("op class %s never ran", name)
 			}
-			rep, fail := r.Run(0x50ac^uint64(len(pol.name)), steps)
-			if fail != nil {
-				t.Fatalf("soak failed:\n%s\nop log:\n%s", fail.FailLine(), fail.OpLog)
-			}
-			if rep.Steps != steps {
-				t.Fatalf("ran %d steps, want %d", rep.Steps, steps)
-			}
-			for name, n := range map[string]int64{
-				"sweeps":   rep.Sweeps,
-				"audits":   rep.Audits,
-				"recycles": rep.Recycles,
-				"qchecks":  rep.Qchecks,
-				"shardeds": rep.Shardeds,
-				"handoffs": rep.Handoffs,
-				"rebuilds": rep.Rebuilds,
-				"replays":  rep.Replays,
-			} {
-				if n == 0 {
-					t.Errorf("op class %s never ran", name)
-				}
-			}
-			if rep.Pushed != rep.Popped {
-				t.Errorf("pushed %d values but popped %d — windows must end drained",
-					rep.Pushed, rep.Popped)
-			}
-		})
-	}
+		}
+		if rep.Pushed != rep.Popped {
+			t.Errorf("pushed %d values but popped %d — windows must end drained",
+				rep.Pushed, rep.Popped)
+		}
+	})
 }
 
 // TestInjectedFaultDetected is the harness's negative control: a
 // model-invisible value injected mid-run must produce a failure, and
 // the failure's replay recipe (wseed, window length, in-window fault
-// step) must reproduce the identical report — under the same policy,
-// under the other policy, and at a different worker count.
+// step) must reproduce the identical report at any worker count. The
+// FAIL line's replay command names no scheduler, and run as printed it
+// reproduces the same failure.
 func TestInjectedFaultDetected(t *testing.T) {
 	cfg, _ := LookupConfig("ci")
-	r, err := New(cfg, Options{Workers: 4, Policy: swan.PolicySteal, FaultStep: 4321})
+	r, err := New(cfg, Options{Workers: 4, FaultStep: 4321})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,39 +74,65 @@ func TestInjectedFaultDetected(t *testing.T) {
 	if fail.Fault == 0 {
 		t.Fatalf("failure does not carry the fault step: %+v", fail)
 	}
-	if !strings.Contains(fail.FailLine(), "-fault") {
-		t.Fatalf("FAIL line lacks the -fault replay flag:\n%s", fail.FailLine())
+	line := fail.FailLine()
+	if !strings.Contains(line, "-fault") {
+		t.Fatalf("FAIL line lacks the -fault replay flag:\n%s", line)
 	}
-	for _, pol := range policies {
-		for _, workers := range []int{2, 7} {
-			r2, err := New(cfg, Options{Workers: workers, Policy: pol.p, FaultStep: fail.Fault})
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, fail2 := r2.Run(fail.WSeed, fail.Steps)
-			if fail2 == nil {
-				t.Fatalf("replay (%s, %d workers) did not reproduce the failure", pol.name, workers)
-			}
-			if fail2.Msg != fail.Msg || fail2.Step != fail.Step-(fail.Window*int64(cfg.OpsPerWindow)) {
-				t.Fatalf("replay (%s, %d workers) diverged:\noriginal: step=%d %s\nreplay:   step=%d %s",
-					pol.name, workers, fail.Step, fail.Msg, fail2.Step, fail2.Msg)
-			}
+	if strings.Contains(line, "policy") {
+		t.Fatalf("FAIL line names a scheduler:\n%s", line)
+	}
+	replay := func(workers int, fault int64, wseed uint64, steps int64) {
+		t.Helper()
+		r2, err := New(cfg, Options{Workers: workers, FaultStep: fault})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, fail2 := r2.Run(wseed, steps)
+		if fail2 == nil {
+			t.Fatalf("replay (%d workers) did not reproduce the failure", workers)
+		}
+		if fail2.Msg != fail.Msg || fail2.Step != fail.Step-(fail.Window*int64(cfg.OpsPerWindow)) {
+			t.Fatalf("replay (%d workers) diverged:\noriginal: step=%d %s\nreplay:   step=%d %s",
+				workers, fail.Step, fail.Msg, fail2.Step, fail2.Msg)
 		}
 	}
+	for _, workers := range []int{2, 7} {
+		replay(workers, fail.Fault, fail.WSeed, fail.Steps)
+	}
+
+	// Parse the printed replay command with cmd/soakfuzz's flag names and
+	// run what it says.
+	_, cmd, ok := strings.Cut(line, "\nreplay: go run ./cmd/soakfuzz ")
+	if !ok {
+		t.Fatalf("FAIL line has no soakfuzz replay command:\n%s", line)
+	}
+	fs := flag.NewFlagSet("soakfuzz", flag.ContinueOnError)
+	config := fs.String("config", "", "")
+	workers := fs.Int("workers", 0, "")
+	seed := fs.Uint64("seed", 0, "")
+	steps := fs.Int64("steps", 0, "")
+	fault := fs.Int64("fault", 0, "")
+	if err := fs.Parse(strings.Fields(cmd)); err != nil {
+		t.Fatalf("replay command %q does not parse as soakfuzz flags: %v", cmd, err)
+	}
+	if *config != cfg.Name {
+		t.Fatalf("replay command names config %q, want %q", *config, cfg.Name)
+	}
+	replay(*workers, *fault, *seed, *steps)
 }
 
 // TestWindowDigestScheduleIndependent pins the replay-window oracle
 // itself: the digest folds every value every oracle observed, so it must
-// be bit-identical across policies and worker counts — the paper's
+// be bit-identical across worker counts — the paper's
 // determinism claim applied to the fuzzer's whole op mix.
 func TestWindowDigestScheduleIndependent(t *testing.T) {
 	cfg, _ := LookupConfig("ci")
 	steps := int64(cfg.OpsPerWindow)
 	var ref [32]byte
 	for i, opt := range []Options{
-		{Workers: 1, Policy: swan.PolicySteal},
-		{Workers: 8, Policy: swan.PolicySteal},
-		{Workers: 4, Policy: swan.PolicyGoroutine},
+		{Workers: 1},
+		{Workers: 8},
+		{Workers: 4},
 	} {
 		d, fail := WindowDigest(cfg, opt, 42, steps)
 		if fail != nil {
@@ -156,20 +172,5 @@ func TestConfigPresets(t *testing.T) {
 	}
 	if _, err := New(bad, Options{}); err == nil {
 		t.Error("New accepted an invalid config")
-	}
-}
-
-func TestParsePolicy(t *testing.T) {
-	for _, pol := range policies {
-		p, err := ParsePolicy(pol.name)
-		if err != nil || p != pol.p {
-			t.Errorf("ParsePolicy(%q) = %v, %v", pol.name, p, err)
-		}
-		if PolicyName(pol.p) != pol.name {
-			t.Errorf("PolicyName(%v) = %q, want %q", pol.p, PolicyName(pol.p), pol.name)
-		}
-	}
-	if _, err := ParsePolicy("fibers"); err == nil {
-		t.Error("ParsePolicy accepted an unknown policy")
 	}
 }

@@ -16,10 +16,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
-	"os"
-	"strconv"
 	"sync"
 )
 
@@ -31,9 +28,7 @@ type Options struct {
 
 	// CoarseBatch is how many coarse chunks RunHyperqueue publishes per
 	// batched spawn (each contributes a two-task nested pipeline).
-	// Zero means the default (4). DefaultOptions also honours the
-	// REPRO_COARSE_BATCH environment variable, so ablations can sweep
-	// the batch size without recompiling.
+	// Zero means the default (4).
 	CoarseBatch int
 
 	// DedupRounds and OutputRounds calibrate the Deduplicate and Output
@@ -51,18 +46,10 @@ type Options struct {
 // DefaultOptions mirrors the proportions of PARSEC's configuration
 // scaled to benchmark-friendly sizes, calibrated against Table 2.
 func DefaultOptions() Options {
-	o := Options{
+	return Options{
 		CoarseAvg: 64 * 1024, FineAvg: 4 * 1024, MaxFactor: 4,
 		DedupRounds: 7, OutputRounds: 25,
 	}
-	if s := os.Getenv("REPRO_COARSE_BATCH"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n >= 1 {
-			o.CoarseBatch = n
-		} else {
-			fmt.Fprintf(os.Stderr, "dedup: ignoring invalid REPRO_COARSE_BATCH=%q (want integer >= 1)\n", s)
-		}
-	}
-	return o
 }
 
 // Chunk is a fine-grained chunk moving through the pipeline.

@@ -11,7 +11,7 @@ import (
 // TestHyperqueueBitDeterministic pins the payoff of moving dedup's hash
 // index onto hypermaps: the entire Result — output stream bytes,
 // unique/dup records, chunk ids, checksum — is bit-identical to the
-// serial elision under every scheduling policy, worker count and
+// serial elision under every worker count and
 // repetition. The baselines cannot pass this (their Store is
 // arrival-ordered); the hyperqueue model must.
 func TestHyperqueueBitDeterministic(t *testing.T) {
@@ -19,21 +19,21 @@ func TestHyperqueueBitDeterministic(t *testing.T) {
 	opts := smallOpts()
 	ref := RunSerial(data, opts)
 
-	for _, policy := range []swan.SpawnPolicy{swan.PolicySteal, swan.PolicyGoroutine} {
-		for _, workers := range []int{1, 4, 8} {
-			name := fmt.Sprintf("policy=%v/workers=%d", policy, workers)
-			t.Run(name, func(t *testing.T) {
-				for rep := 0; rep < 3; rep++ {
-					res := RunHyperqueue(swan.NewWithPolicy(workers, policy), data, opts, 64)
-					if res.Checksum != ref.Checksum {
-						t.Fatalf("rep %d: checksum %#x, serial elision has %#x", rep, res.Checksum, ref.Checksum)
-					}
-					if !bytes.Equal(res.Stream, ref.Stream) {
-						t.Fatalf("rep %d: output stream differs from the serial elision (len %d vs %d)",
-							rep, len(res.Stream), len(ref.Stream))
-					}
+	for _, workers := range []int{1, 4, 8} {
+		// "policy=steal" keeps the case names the sweep had when it also
+		// ran a second scheduler; the work-stealing one is the only one now.
+		name := fmt.Sprintf("policy=steal/workers=%d", workers)
+		t.Run(name, func(t *testing.T) {
+			for rep := 0; rep < 3; rep++ {
+				res := RunHyperqueue(swan.New(workers), data, opts, 64)
+				if res.Checksum != ref.Checksum {
+					t.Fatalf("rep %d: checksum %#x, serial elision has %#x", rep, res.Checksum, ref.Checksum)
 				}
-			})
-		}
+				if !bytes.Equal(res.Stream, ref.Stream) {
+					t.Fatalf("rep %d: output stream differs from the serial elision (len %d vs %d)",
+						rep, len(res.Stream), len(ref.Stream))
+				}
+			}
+		})
 	}
 }

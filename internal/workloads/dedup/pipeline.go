@@ -172,8 +172,8 @@ func RunObjects(rt *swan.Runtime, data []byte, o Options) Result {
 //
 // Unlike the baselines, this version holds no arrival-ordered shared
 // Store: deduplication runs on two hypermaps, making the whole Result
-// bit-identical to RunSerial for every policy, schedule and worker
-// count. The "seen" hypermap lets the parallel dedup tasks skip
+// bit-identical to RunSerial for every schedule and worker count.
+// The "seen" hypermap lets the parallel dedup tasks skip
 // compressing chunks that are provable duplicates (Put's sound dup
 // report: a serially-earlier occurrence exists, so Output will emit a
 // duplicate record and never needs the payload; an unprovable duplicate

@@ -57,7 +57,7 @@ func fnv1a(data []byte) uint64 {
 // shard-local duplicate filter, and the egress consumer writes records
 // in arrival order, interning content hashes exactly as the serial
 // elision does. The Result is byte-identical to RunSerial for every
-// shard count, worker count and scheduler policy.
+// shard count, worker count and schedule.
 //
 // The shard-local "seen" sets are sound for the same reason the
 // hypermap's Put is in RunHyperqueue: a shard's arrival order is a

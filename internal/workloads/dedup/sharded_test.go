@@ -9,7 +9,7 @@ import (
 )
 
 // TestShardedMatchesSerial sweeps the sharded dedup pipeline over shard
-// counts, worker counts and both scheduler policies: the Result must be
+// counts and worker counts: the Result must be
 // byte-identical to RunSerial in every configuration — the partition
 // function moves work, never output bytes.
 func TestShardedMatchesSerial(t *testing.T) {
@@ -17,22 +17,22 @@ func TestShardedMatchesSerial(t *testing.T) {
 	opts := smallOpts()
 	ref := RunSerial(data, opts)
 
-	for _, policy := range []swan.SpawnPolicy{swan.PolicySteal, swan.PolicyGoroutine} {
-		for _, shards := range []int{1, 2, 4} {
-			for _, workers := range []int{1, 4, 8} {
-				name := fmt.Sprintf("policy=%v/shards=%d/workers=%d", policy, shards, workers)
-				t.Run(name, func(t *testing.T) {
-					rt := swan.NewWithPolicy(workers, policy)
-					res := RunSharded(rt, data, opts, ShardedConfig{Shards: shards, Bound: 32, SegCap: 64})
-					if res.Checksum != ref.Checksum {
-						t.Fatalf("checksum %#x, serial elision has %#x", res.Checksum, ref.Checksum)
-					}
-					if !bytes.Equal(res.Stream, ref.Stream) {
-						t.Fatalf("output stream differs from the serial elision (len %d vs %d)",
-							len(res.Stream), len(ref.Stream))
-					}
-				})
-			}
+	for _, shards := range []int{1, 2, 4} {
+		for _, workers := range []int{1, 4, 8} {
+			// "policy=steal" keeps the case names the sweep had when it also
+			// ran a second scheduler; the work-stealing one is the only one now.
+			name := fmt.Sprintf("policy=steal/shards=%d/workers=%d", shards, workers)
+			t.Run(name, func(t *testing.T) {
+				rt := swan.New(workers)
+				res := RunSharded(rt, data, opts, ShardedConfig{Shards: shards, Bound: 32, SegCap: 64})
+				if res.Checksum != ref.Checksum {
+					t.Fatalf("checksum %#x, serial elision has %#x", res.Checksum, ref.Checksum)
+				}
+				if !bytes.Equal(res.Stream, ref.Stream) {
+					t.Fatalf("output stream differs from the serial elision (len %d vs %d)",
+						len(res.Stream), len(ref.Stream))
+				}
+			})
 		}
 	}
 }

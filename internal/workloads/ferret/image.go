@@ -14,8 +14,6 @@ package ferret
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 
 	"repro/internal/rng"
 )
@@ -62,16 +60,14 @@ type Params struct {
 
 	// DispatchBatch is how many queued images RunHyperqueue's dispatch
 	// stage gathers per batched spawn wave. Zero means the default (8).
-	// DefaultParams also honours the REPRO_DISPATCH_BATCH environment
-	// variable, so ablations can sweep it without recompiling. Result
-	// order is batch-size independent.
+	// Result order is batch-size independent.
 	DispatchBatch int
 }
 
 // DefaultParams returns the calibrated workload size (about a second of
 // serial work; scale NumImages for longer runs).
 func DefaultParams() Params {
-	p := Params{
+	return Params{
 		NumImages: 256,
 		ImageDim:  48,
 		DBSize:    2000,
@@ -80,14 +76,6 @@ func DefaultParams() Params {
 		VectIters: 1200,
 		Seed:      12345,
 	}
-	if s := os.Getenv("REPRO_DISPATCH_BATCH"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n >= 1 {
-			p.DispatchBatch = n
-		} else {
-			fmt.Fprintf(os.Stderr, "ferret: ignoring invalid REPRO_DISPATCH_BATCH=%q (want integer >= 1)\n", s)
-		}
-	}
-	return p
 }
 
 // NewCorpus builds the directory tree and ranking database.

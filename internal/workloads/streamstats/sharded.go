@@ -46,7 +46,7 @@ type ShardedConfig struct {
 // the reducer — each sensor owns one slot, so every runtime merge stays
 // a disjoint union — and the egress consumer computes the
 // order-dependent EWMA in arrival order. The Result digest is identical
-// for any shard count, worker count, and scheduler policy
+// for any shard count, worker count, and schedule
 // (RunShardedSerial is the elision).
 func RunSharded(rt *swan.Runtime, cfg ShardedConfig) Result {
 	cfg.defaults()

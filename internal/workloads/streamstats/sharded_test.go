@@ -8,8 +8,7 @@ import (
 )
 
 // TestShardedDigestDeterministic sweeps the sharded multi-sensor
-// pipeline over shard counts, worker counts and both scheduler
-// policies: the full Result — per-sensor moments and the
+// pipeline over shard counts and worker counts: the full Result — per-sensor moments and the
 // order-dependent EWMA — must be bit-identical to the serial elision
 // (RunShardedSerial, the same interleaved stream folded in arrival
 // order) in every configuration.
@@ -20,18 +19,18 @@ func TestShardedDigestDeterministic(t *testing.T) {
 	}
 	cfg := ShardedConfig{Config: Config{Samples: samples, Sensors: 16, SegCap: 512}}
 	want := RunShardedSerial(cfg).Digest()
-	for _, policy := range []swan.SpawnPolicy{swan.PolicySteal, swan.PolicyGoroutine} {
-		for _, shards := range []int{1, 2, 4} {
-			for _, workers := range []int{1, 4, 8} {
-				t.Run(fmt.Sprintf("policy=%v/shards=%d/workers=%d", policy, shards, workers), func(t *testing.T) {
-					c := cfg
-					c.Shards, c.Bound = shards, 128
-					got := RunSharded(swan.NewWithPolicy(workers, policy), c).Digest()
-					if got != want {
-						t.Fatalf("digest %s, serial elision has %s", got, want)
-					}
-				})
-			}
+	for _, shards := range []int{1, 2, 4} {
+		for _, workers := range []int{1, 4, 8} {
+			// "policy=steal" keeps the case names the sweep had when it also
+			// ran a second scheduler; the work-stealing one is the only one now.
+			t.Run(fmt.Sprintf("policy=steal/shards=%d/workers=%d", shards, workers), func(t *testing.T) {
+				c := cfg
+				c.Shards, c.Bound = shards, 128
+				got := RunSharded(swan.New(workers), c).Digest()
+				if got != want {
+					t.Fatalf("digest %s, serial elision has %s", got, want)
+				}
+			})
 		}
 	}
 }

@@ -11,8 +11,8 @@
 // union — no floating-point addition ever reassociates. The EWMA is not
 // associative at all, which is why it lives on the serial consumer: the
 // hyperqueue fixes its input order to the serial elision's. Together
-// the whole Result is bit-identical across schedules, policies and
-// worker counts, which Digest makes checkable.
+// the whole Result is bit-identical across schedules and worker
+// counts, which Digest makes checkable.
 package streamstats
 
 import (
@@ -170,7 +170,7 @@ const ewmaAlpha = 0.001
 // bulk-push their stream through the queue and fold their moments into
 // their reducer slot; the consumer computes the EWMA in serial stream
 // order. The Result is deterministic — identical Digest for any
-// schedule, policy or worker count (see RunSerial for the elision).
+// schedule or worker count (see RunSerial for the elision).
 func Run(rt *swan.Runtime, cfg Config) Result {
 	cfg.defaults()
 	if cfg.Sensors < 1 || cfg.Sensors > MaxSensors {

@@ -14,22 +14,22 @@ func testConfig() Config {
 
 // TestDigestDeterministic: the full result — per-sensor Welford moments
 // from the reducer plus the order-dependent EWMA from the queue — must
-// be bit-identical to the serial elision under every policy, worker
+// be bit-identical to the serial elision under every worker
 // count and repetition.
 func TestDigestDeterministic(t *testing.T) {
 	cfg := testConfig()
 	want := RunSerial(cfg).Digest()
-	for _, policy := range []swan.SpawnPolicy{swan.PolicySteal, swan.PolicyGoroutine} {
-		for _, workers := range []int{1, 4, 8} {
-			t.Run(fmt.Sprintf("policy=%v/workers=%d", policy, workers), func(t *testing.T) {
-				for rep := 0; rep < 3; rep++ {
-					got := Run(swan.NewWithPolicy(workers, policy), cfg).Digest()
-					if got != want {
-						t.Fatalf("rep %d: digest %s, serial elision has %s", rep, got, want)
-					}
+	for _, workers := range []int{1, 4, 8} {
+		// "policy=steal" keeps the case names the sweep had when it also
+		// ran a second scheduler; the work-stealing one is the only one now.
+		t.Run(fmt.Sprintf("policy=steal/workers=%d", workers), func(t *testing.T) {
+			for rep := 0; rep < 3; rep++ {
+				got := Run(swan.New(workers), cfg).Digest()
+				if got != want {
+					t.Fatalf("rep %d: digest %s, serial elision has %s", rep, got, want)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

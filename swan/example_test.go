@@ -87,12 +87,11 @@ func ExampleTransformEach() {
 	// 25
 }
 
-// ExampleNewWithPolicy pins the substrate-independence guarantee: the
-// same program produces the same result on the work-stealing runtime and
-// on the goroutine-per-task ablation baseline.
-func ExampleNewWithPolicy() {
-	for _, policy := range []swan.SpawnPolicy{swan.PolicySteal, swan.PolicyGoroutine} {
-		rt := swan.NewWithPolicy(2, policy)
+// ExampleNew pins the scale-free guarantee: the same program produces the
+// same result whatever the worker count.
+func ExampleNew() {
+	for _, workers := range []int{1, 2, 4} {
+		rt := swan.New(workers)
 		total := 0
 		rt.Run(func(f *swan.Frame) {
 			q := swan.NewQueue[int](f)
@@ -106,11 +105,12 @@ func ExampleNewWithPolicy() {
 			}, swan.Pop(q))
 			f.Sync()
 		})
-		fmt.Printf("%v: %d\n", policy, total)
+		fmt.Printf("workers=%d: %d\n", workers, total)
 	}
 	// Output:
-	// steal: 10
-	// goroutine: 10
+	// workers=1: 10
+	// workers=2: 10
+	// workers=4: 10
 }
 
 // ExampleFrame_SpawnBatch publishes a wave of producer tasks with one

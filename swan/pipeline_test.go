@@ -146,7 +146,7 @@ func noop(*swan.Frame) {}
 // set from the free lists, and the dependence itself is a pointer the
 // queue already holds. One worker, so that no thief carries records away.
 func TestSpawnWithQueueDepAllocatesNothing(t *testing.T) {
-	swan.NewWithPolicy(1, swan.PolicySteal).Run(func(f *swan.Frame) {
+	swan.New(1).Run(func(f *swan.Frame) {
 		q := swan.NewQueue[int](f)
 		q2 := swan.NewQueue[string](f)
 		v := swan.NewVersioned(0)
@@ -210,8 +210,8 @@ func TestTransformSerialSteadyStateAllocs(t *testing.T) {
 // TestHelpersMatchSerialElision is the helpers' conformance table: the
 // batched consumer loops of TransformSerial, TransformEach and Drain
 // against the plain serial loop, over segment capacities that make a
-// batch span one, some and many segments, bounds below, at and above the
-// batch, and both substrates. TransformSerial's stage emits 0, 1 or 3
+// batch span one, some and many segments, and bounds below, at and above
+// the batch. TransformSerial's stage emits 0, 1 or 3
 // outputs per input, so an output batch never lines up with an input one.
 // TransformEach's output queue stays unbounded: its pushing children run
 // out of serial order, which a bound must not meet (OPERATIONS.md).
@@ -227,42 +227,40 @@ func TestHelpersMatchSerialElision(t *testing.T) {
 		emit(v, func(o int) { wantSerial = append(wantSerial, o) })
 		wantEach = append(wantEach, v*v)
 	}
-	for _, policy := range []swan.SpawnPolicy{swan.PolicySteal, swan.PolicyGoroutine} {
-		for _, workers := range []int{1, 2, 4} {
-			for _, segCap := range []int{1, 3, 256} {
-				for _, bound := range []int{0, 1, 2, 4096} {
-					var opts []swan.QueueOption
-					if bound > 0 {
-						opts = append(opts, swan.Bounded(bound))
-					}
-					name := fmt.Sprintf("policy=%v/workers=%d/segcap=%d/bound=%d", policy, workers, segCap, bound)
-					for _, stage := range []string{"serial", "each"} {
-						var got []int
-						swan.NewWithPolicy(workers, policy).Run(func(f *swan.Frame) {
-							in := swan.NewQueueWithCapacity[int](f, segCap, opts...)
-							swan.Produce(f, in, func(c *swan.Frame, push func(int)) {
-								for v := 0; v < n; v++ {
-									push(v)
-								}
-							})
-							var out *swan.Queue[int]
-							if stage == "serial" {
-								out = swan.NewQueueWithCapacity[int](f, segCap, opts...)
-								swan.TransformSerial(f, in, out, emit)
-							} else {
-								out = swan.NewQueueWithCapacity[int](f, segCap)
-								swan.TransformEach(f, in, out, func(v int) int { return v * v })
+	for _, workers := range []int{1, 2, 4} {
+		for _, segCap := range []int{1, 3, 256} {
+			for _, bound := range []int{0, 1, 2, 4096} {
+				var opts []swan.QueueOption
+				if bound > 0 {
+					opts = append(opts, swan.Bounded(bound))
+				}
+				name := fmt.Sprintf("workers=%d/segcap=%d/bound=%d", workers, segCap, bound)
+				for _, stage := range []string{"serial", "each"} {
+					var got []int
+					swan.New(workers).Run(func(f *swan.Frame) {
+						in := swan.NewQueueWithCapacity[int](f, segCap, opts...)
+						swan.Produce(f, in, func(c *swan.Frame, push func(int)) {
+							for v := 0; v < n; v++ {
+								push(v)
 							}
-							swan.Drain(f, out, func(v int) { got = append(got, v) })
-							f.Sync()
 						})
-						want := wantSerial
-						if stage == "each" {
-							want = wantEach
+						var out *swan.Queue[int]
+						if stage == "serial" {
+							out = swan.NewQueueWithCapacity[int](f, segCap, opts...)
+							swan.TransformSerial(f, in, out, emit)
+						} else {
+							out = swan.NewQueueWithCapacity[int](f, segCap)
+							swan.TransformEach(f, in, out, func(v int) int { return v * v })
 						}
-						if !slices.Equal(got, want) {
-							t.Errorf("%s/%s: %d values, differs from the serial loop's %d", name, stage, len(got), len(want))
-						}
+						swan.Drain(f, out, func(v int) { got = append(got, v) })
+						f.Sync()
+					})
+					want := wantSerial
+					if stage == "each" {
+						want = wantEach
+					}
+					if !slices.Equal(got, want) {
+						t.Errorf("%s/%s: %d values, differs from the serial loop's %d", name, stage, len(got), len(want))
 					}
 				}
 			}
@@ -277,53 +275,53 @@ func TestHelpersMatchSerialElision(t *testing.T) {
 // until its batch was done would hang on the second element.
 func TestTransformSerialEagerPublication(t *testing.T) {
 	const n = 64
-	for _, policy := range []swan.SpawnPolicy{swan.PolicySteal, swan.PolicyGoroutine} {
-		for _, workers := range []int{2, 4} { // the stage function waits without a frame to Block on
-			t.Run(fmt.Sprintf("policy=%v/workers=%d", policy, workers), func(t *testing.T) {
-				seen := make([]chan struct{}, n) // closed when Drain has element i's output
-				vals := make([]int, n)
-				for i := range vals {
-					seen[i], vals[i] = make(chan struct{}), i
-				}
-				var inHand, drained atomic.Int64
-				inHand.Store(-1)
-				rt := swan.NewWithPolicy(workers, policy)
-				done := make(chan struct{})
-				go func() {
-					defer close(done)
-					rt.Run(func(f *swan.Frame) {
-						in := swan.NewQueue[int](f, swan.Named("eager.in"))
-						out := swan.NewQueue[int](f, swan.Named("eager.out"))
-						pu := in.BindPush(f)
-						pu.PushSlice(vals)
-						swan.TransformSerial(f, in, out, func(v int, push func(int)) {
-							inHand.Store(int64(v))
-							if v > 0 {
-								<-seen[v-1]
-							}
-							push(v)
-						})
-						swan.Drain(f, out, func(v int) {
-							if v != int(drained.Load()) {
-								t.Errorf("drained[%d] = %d (order broken)", drained.Load(), v)
-							}
-							close(seen[v])
-							drained.Add(1)
-						})
-						f.Sync()
+	for _, workers := range []int{2, 4} { // the stage function waits without a frame to Block on
+		// "policy=steal" keeps the case names the sweep had when it also
+		// ran a second scheduler; the work-stealing one is the only one now.
+		t.Run(fmt.Sprintf("policy=steal/workers=%d", workers), func(t *testing.T) {
+			seen := make([]chan struct{}, n) // closed when Drain has element i's output
+			vals := make([]int, n)
+			for i := range vals {
+				seen[i], vals[i] = make(chan struct{}), i
+			}
+			var inHand, drained atomic.Int64
+			inHand.Store(-1)
+			rt := swan.New(workers)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				rt.Run(func(f *swan.Frame) {
+					in := swan.NewQueue[int](f, swan.Named("eager.in"))
+					out := swan.NewQueue[int](f, swan.Named("eager.out"))
+					pu := in.BindPush(f)
+					pu.PushSlice(vals)
+					swan.TransformSerial(f, in, out, func(v int, push func(int)) {
+						inHand.Store(int64(v))
+						if v > 0 {
+							<-seen[v-1]
+						}
+						push(v)
 					})
-				}()
-				select {
-				case <-done:
-				case <-time.After(10 * time.Second):
-					t.Fatalf("pipeline hung with %d of %d outputs drained and the stage function on element %d: the helper is holding back pushed values%s",
-						drained.Load(), n, inHand.Load(), fanOutHolds(rt))
-				}
-				if drained.Load() != n {
-					t.Fatalf("%d outputs, want %d", drained.Load(), n)
-				}
-			})
-		}
+					swan.Drain(f, out, func(v int) {
+						if v != int(drained.Load()) {
+							t.Errorf("drained[%d] = %d (order broken)", drained.Load(), v)
+						}
+						close(seen[v])
+						drained.Add(1)
+					})
+					f.Sync()
+				})
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("pipeline hung with %d of %d outputs drained and the stage function on element %d: the helper is holding back pushed values%s",
+					drained.Load(), n, inHand.Load(), fanOutHolds(rt))
+			}
+			if drained.Load() != n {
+				t.Fatalf("%d outputs, want %d", drained.Load(), n)
+			}
+		})
 	}
 }
 

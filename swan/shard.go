@@ -10,7 +10,7 @@ import (
 // per-shard results back into arrival order. The consumer role is never
 // split — every queue in the construction keeps exactly one consumer
 // task — so the egress stream is byte-identical for any worker count,
-// shard count, and scheduler policy (see ARCHITECTURE.md, "Sharded
+// shard count, and schedule (see ARCHITECTURE.md, "Sharded
 // pipelines").
 //
 // Usage shape (program order matters for visibility):

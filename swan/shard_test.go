@@ -24,9 +24,9 @@ func mix64(x uint64) uint64 {
 
 // runSharded pushes vals through a Sharded fan-out and returns the
 // egress stream in order.
-func runSharded(workers, shards, bound int, policy swan.SpawnPolicy, vals []uint64) []uint64 {
+func runSharded(workers, shards, bound int, vals []uint64) []uint64 {
 	got := make([]uint64, 0, len(vals))
-	rt := swan.NewWithPolicy(workers, policy)
+	rt := swan.New(workers)
 	rt.Run(func(f *swan.Frame) {
 		s := swan.NewSharded(f, swan.ShardConfig{Shards: shards, Bound: bound},
 			func(v uint64) uint64 { return v },
@@ -49,10 +49,9 @@ func runSharded(workers, shards, bound int, policy swan.SpawnPolicy, vals []uint
 	return got
 }
 
-// TestShardedBitDeterministic sweeps shards × workers × both scheduler
-// policies: the egress stream must be identical, element for element, to
-// the serial elision (a plain loop applying the transform in arrival
-// order) in every configuration.
+// TestShardedBitDeterministic sweeps shards × workers: the egress stream
+// must be identical, element for element, to the serial elision (a plain
+// loop applying the transform in arrival order) in every configuration.
 func TestShardedBitDeterministic(t *testing.T) {
 	const n = 20000
 	vals := make([]uint64, n)
@@ -65,19 +64,17 @@ func TestShardedBitDeterministic(t *testing.T) {
 	for i, v := range vals {
 		want[i] = mix64(v)
 	}
-	for _, policy := range []swan.SpawnPolicy{swan.PolicySteal, swan.PolicyGoroutine} {
-		for _, shards := range []int{1, 2, 4} {
-			for _, workers := range []int{1, 4, 8} {
-				got := runSharded(workers, shards, 256, policy, vals)
-				if len(got) != n {
-					t.Fatalf("policy=%v shards=%d workers=%d: %d results, want %d",
-						policy, shards, workers, len(got), n)
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("policy=%v shards=%d workers=%d: result[%d] = %#x, want %#x",
-							policy, shards, workers, i, got[i], want[i])
-					}
+	for _, shards := range []int{1, 2, 4} {
+		for _, workers := range []int{1, 4, 8} {
+			got := runSharded(workers, shards, 256, vals)
+			if len(got) != n {
+				t.Fatalf("shards=%d workers=%d: %d results, want %d",
+					shards, workers, len(got), n)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("shards=%d workers=%d: result[%d] = %#x, want %#x",
+						shards, workers, i, got[i], want[i])
 				}
 			}
 		}
@@ -99,7 +96,7 @@ func TestShardedTinyBoundsAndCounts(t *testing.T) {
 		for i := range vals {
 			vals[i] = uint64(i)
 		}
-		got := runSharded(tc.workers, tc.shards, tc.bound, swan.PolicySteal, vals)
+		got := runSharded(tc.workers, tc.shards, tc.bound, vals)
 		if len(got) != tc.n {
 			t.Fatalf("%+v: %d results, want %d", tc, len(got), tc.n)
 		}
@@ -152,7 +149,7 @@ func testBackpressureIsolation(t *testing.T, bound, jam int) {
 	gate := make(chan struct{})
 	var freeDone atomic.Int64 // values the free shard's stage function has seen
 	var got []uint64
-	rt := swan.NewWithPolicy(4, swan.PolicySteal)
+	rt := swan.New(4)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -257,18 +254,18 @@ func testBackpressureIsolation(t *testing.T, bound, jam int) {
 // at once; a worker that computed its batch and then published it would
 // hang here on its second element.
 func TestShardedEagerPublication(t *testing.T) {
-	for _, policy := range []swan.SpawnPolicy{swan.PolicySteal, swan.PolicyGoroutine} {
-		for _, workers := range []int{1, 4} {
-			for _, shards := range []int{1, 2} {
-				t.Run(fmt.Sprintf("policy=%v/workers=%d/shards=%d", policy, workers, shards), func(t *testing.T) {
-					testEagerPublication(t, policy, workers, shards)
-				})
-			}
+	for _, workers := range []int{1, 4} {
+		for _, shards := range []int{1, 2} {
+			// "policy=steal" keeps the case names the sweep had when it also
+			// ran a second scheduler; the work-stealing one is the only one now.
+			t.Run(fmt.Sprintf("policy=steal/workers=%d/shards=%d", workers, shards), func(t *testing.T) {
+				testEagerPublication(t, workers, shards)
+			})
 		}
 	}
 }
 
-func testEagerPublication(t *testing.T, policy swan.SpawnPolicy, workers, shards int) {
+func testEagerPublication(t *testing.T, workers, shards int) {
 	const n = 64
 	vals := make([]uint64, n)
 	received := make([]chan struct{}, n) // closed when the egress consumer has element i
@@ -281,7 +278,7 @@ func testEagerPublication(t *testing.T, policy swan.SpawnPolicy, workers, shards
 		inHand[i].Store(-1)
 	}
 	var egress atomic.Int64
-	rt := swan.NewWithPolicy(workers, policy)
+	rt := swan.New(workers)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

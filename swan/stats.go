@@ -20,13 +20,13 @@ type RuntimeStats struct {
 	PooledSegments int          // segments currently cached across all pools
 	SegmentAllocs  uint64       // segments ever allocated fresh (pool misses)
 	RecycledQueues uint64       // completed Queue.Recycle resets
-	Spawns         uint64       // tasks dispatched (PolicySteal only)
+	Spawns         uint64       // tasks dispatched
 	TaskAllocs     uint64       // of those, task records allocated fresh; the rest reused a worker's recycled record
-	Steals         uint64       // successful steal sweeps (PolicySteal only)
+	Steals         uint64       // successful steal sweeps
 	StolenTasks    uint64       // tasks taken by steal sweeps (>= Steals with steal-half batching)
-	Parks          uint64       // worker sleeps for lack of work (PolicySteal only)
-	Blocks         uint64       // Block regions entered (PolicySteal only)
-	Blocked        int          // tasks currently inside a Block region (PolicySteal only)
+	Parks          uint64       // worker sleeps for lack of work
+	Blocks         uint64       // Block regions entered
+	Blocked        int          // tasks currently inside a Block region
 	CanceledRuns   uint64       // Run invocations that ended canceled (Runtime.Cancel, scope cancel, task panic)
 	TaskPanics     uint64       // task bodies that panicked (each also cancels its run's scope)
 	Sheds          uint64       // values refused by TryPush or timed-out PushTimeout, across all metered queues

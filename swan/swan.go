@@ -150,34 +150,9 @@ type Popper[T any] = core.Popper[T]
 // (renaming) to break artificial dependences.
 type Versioned[T any] = dataflow.Versioned[T]
 
-// SpawnPolicy selects the scheduling substrate of a Runtime: the
-// work-stealing pool (PolicySteal, the default) or the goroutine-per-task
-// baseline kept for ablations (PolicyGoroutine). Programs must behave
-// identically under both; the regression tests and cmd/quickcheck verify
-// that.
-type SpawnPolicy = sched.SpawnPolicy
-
-const (
-	// PolicySteal dispatches tasks through per-worker work-stealing
-	// deques (the default).
-	PolicySteal = sched.PolicySteal
-	// PolicyGoroutine runs one goroutine per task, gated by a slot
-	// semaphore (the ablation baseline).
-	PolicyGoroutine = sched.PolicyGoroutine
-)
-
-// New returns a runtime with the given number of worker slots.
+// New returns a work-stealing runtime with the given number of worker
+// slots.
 func New(workers int) *Runtime { return sched.New(workers) }
-
-// NewWithPolicy returns a runtime with the given number of worker slots
-// on an explicitly chosen scheduling substrate.
-func NewWithPolicy(workers int, policy SpawnPolicy) *Runtime {
-	return sched.NewWithPolicy(workers, policy)
-}
-
-// DefaultPolicy reports the substrate New uses, which honors the
-// REPRO_SCHED environment variable ("steal" or "goroutine").
-func DefaultPolicy() SpawnPolicy { return sched.DefaultPolicy() }
 
 // SetQueueDebugChecks enables or disables the hyperqueue's runtime
 // self-checking assertions process-wide — most importantly, that a true
