@@ -1,4 +1,5 @@
-# Local entry points mirroring .github/workflows/ci.yml.
+# Local entry points. Every .github/workflows/ci.yml job but the
+# build-and-test one (which also records coverage) runs these targets.
 
 GO ?= go
 
@@ -38,7 +39,10 @@ test:
 # The scheduler and queue packages must be race-clean, and so must the
 # public API's tests: the Sharded tests with teeth (eager publication, a
 # jammed shard at tiny bounds) live in ./swan. ./internal/... includes
-# the sharded workloads (streamstats, dedup).
+# the sharded workloads (streamstats, dedup) and the task-record and
+# view-set recycling regressions (internal/sched/record_test.go,
+# internal/core/recycle_test.go), whose assertions are the race
+# detector's.
 race:
 	$(GO) test -race -short ./internal/... ./swan
 

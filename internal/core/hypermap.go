@@ -48,19 +48,24 @@ func (hmOps[K, V]) Reduce(into, from *hview[K, V]) {
 // key wins, for any schedule or worker count.
 //
 // Alongside the deterministic views the map keeps a shared *advisory
-// claims* index (a sync.Map), letting Put answer "was this key already
-// put by a task that definitely precedes me?" without waiting for a
-// sync. The answer is conservative: true only when the program-order
-// labels prove the other writer's whole body precedes the caller in the
-// serial elision, so a true is sound whatever the physical schedule
-// was, while a false may simply mean the earlier writer has not been
-// observed yet. Use it to skip work that only a duplicate would waste
-// (dedup skips compressing chunks it can prove are duplicates); never
-// branch program *output* on it — output must come from the merged
-// views or from a single serial reader (PutIfAbsent).
+// claims* index, letting Put answer "was this key already put by a task
+// that definitely precedes me?" without waiting for a sync. The answer
+// is conservative: true only when the program-order labels prove the
+// other writer's whole body precedes the caller in the serial elision,
+// so a true is sound whatever the physical schedule was, while a false
+// may simply mean the earlier writer has not been observed yet. Use it
+// to skip work that only a duplicate would waste (dedup skips
+// compressing chunks it can prove are duplicates); never branch program
+// *output* on it — output must come from the merged views or from a
+// single serial reader (PutIfAbsent).
 type Hypermap[K comparable, V any] struct {
-	obj    hyper.Obj[hview[K, V], hmOps[K, V]]
-	claims sync.Map // K -> *hyperclaim
+	obj hyper.Obj[hview[K, V], hmOps[K, V]]
+
+	// claimsMu guards claims, which the first Put creates. It is a leaf
+	// lock: nothing else is taken while it is held. A typed map keeps
+	// keys unboxed; a sync.Map would box every key into an interface.
+	claimsMu sync.Mutex
+	claims   map[K]*hyperclaim
 }
 
 // hyperclaim identifies a claimant by its frame's label rather than the
@@ -154,8 +159,21 @@ func (h MapHandle[K, V]) Put(k K, v V) (dup bool) {
 		return true
 	}
 	u.m[k] = v
-	got, loaded := h.hm.claims.LoadOrStore(k, h.claim)
-	if !loaded {
+	return h.hm.claim(k, h.claim)
+}
+
+// claim records c as k's claimant if k has none, or if c provably
+// precedes the current one, and reports whether the current claimant
+// proves an earlier occurrence of k.
+func (m *Hypermap[K, V]) claim(k K, c *hyperclaim) (dup bool) {
+	m.claimsMu.Lock()
+	defer m.claimsMu.Unlock()
+	if m.claims == nil {
+		m.claims = make(map[K]*hyperclaim)
+	}
+	got, ok := m.claims[k]
+	if !ok {
+		m.claims[k] = c
 		return false
 	}
 	// The claim proves an earlier occurrence iff the claimant's whole
@@ -166,14 +184,13 @@ func (h MapHandle[K, V]) Put(k K, v V) (dup bool) {
 	// the key after spawning f, which in the serial elision runs after
 	// f's entire body (the same label logic as the queue's
 	// visibleProducerLive).
-	switch cmpLabels(got.(*hyperclaim).label, h.claim.label) {
+	switch cmpLabels(got.label, c.label) {
 	case labelSame, labelDescendant, labelBefore:
 		return true
 	case labelAfter:
-		// Improve the claim for future probes: f is provably earlier than
-		// the current claimant. Best-effort: claims are advisory, and
-		// losing this race only costs precision, never soundness.
-		h.hm.claims.CompareAndSwap(k, got, h.claim)
+		// f is provably earlier than the current claimant: later probes
+		// compare against f instead.
+		m.claims[k] = c
 	}
 	return false
 }

@@ -239,27 +239,140 @@ func TestHypermapPutDupSoundness(t *testing.T) {
 	}
 }
 
-func TestHypermapAncestorClaimNotDup(t *testing.T) {
-	// An ancestor's claim proves nothing for a child it spawned BEFORE
-	// putting: in the serial elision the child's body runs first. The
-	// child's Put must report dup=false even when the ancestor's claim
-	// is already visible.
+func wantPut(t *testing.T, who string, got, want bool) {
+	t.Helper()
+	if got != want {
+		t.Errorf("%s: Put = %v, want %v", who, got, want)
+	}
+}
+
+// TestHypermapClaimRules is Put's claim rule, one row per place the
+// key's claimant can sit relative to the caller. In every row the key is
+// absent from the caller's private view, so the claims index alone
+// decides; channels waited on inside Block fix the physical order of
+// the puts, so a row means the same at any worker count.
+func TestHypermapClaimRules(t *testing.T) {
+	type hmap = Hypermap[string, int]
+	rows := []struct {
+		name string
+		body func(t *testing.T, f *sched.Frame, m *hmap)
+	}{
+		{"same frame", func(t *testing.T, f *sched.Frame, m *hmap) {
+			h := m.BindMap(f)
+			wantPut(t, "first put", h.Put("k", 0), false)
+			// The spawn hands f's private view, key included, to the
+			// child; f's claim stays.
+			f.Spawn(func(*sched.Frame) {}, MapWrite(m))
+			wantPut(t, "put after the hand-off", h.Put("k", 0), true)
+		}},
+		{"descendant", func(t *testing.T, f *sched.Frame, m *hmap) {
+			f.Call(func(c *sched.Frame) {
+				wantPut(t, "child", m.BindMap(c).Put("k", 1), false)
+			}, MapWrite(m))
+			// The child's view waits in f's children view until a sync,
+			// so f's private view lacks the key.
+			wantPut(t, "parent after the child returned", m.BindMap(f).Put("k", 0), true)
+		}},
+		{"earlier non-ancestor", func(t *testing.T, f *sched.Frame, m *hmap) {
+			f.Call(func(c *sched.Frame) {
+				c.Call(func(g *sched.Frame) {
+					wantPut(t, "nephew", m.BindMap(g).Put("k", 1), false)
+				}, MapWrite(m))
+			}, MapWrite(m))
+			f.Call(func(c *sched.Frame) {
+				wantPut(t, "later sibling of its parent", m.BindMap(c).Put("k", 2), true)
+			}, MapWrite(m))
+		}},
+		{"ancestor after spawning", func(t *testing.T, f *sched.Frame, m *hmap) {
+			put := make(chan struct{})
+			f.Spawn(func(c *sched.Frame) {
+				c.Block(func() { <-put })
+				wantPut(t, "child spawned before its parent's put", m.BindMap(c).Put("k", 1), false)
+			}, MapWrite(m))
+			wantPut(t, "parent", m.BindMap(f).Put("k", 0), false)
+			close(put)
+			f.Sync()
+			// In the serial elision the child's body runs before the
+			// parent's put, so the child's value is the one kept.
+			if v, _ := m.Get(f, "k"); v != 1 {
+				t.Errorf("merged value = %d, want the child's 1", v)
+			}
+		}},
+		{"later writer", func(t *testing.T, f *sched.Frame, m *hmap) {
+			later := make(chan struct{})
+			f.Spawn(func(c *sched.Frame) {
+				c.Block(func() { <-later })
+				wantPut(t, "earlier sibling, second to put", m.BindMap(c).Put("k", 0), false)
+			}, MapWrite(m))
+			f.Spawn(func(c *sched.Frame) {
+				wantPut(t, "later sibling, first to put", m.BindMap(c).Put("k", 1), false)
+				close(later)
+			}, MapWrite(m))
+		}},
+		{"improved claim", func(t *testing.T, f *sched.Frame, m *hmap) {
+			// Siblings a < b < c in program order put in the order c, a,
+			// b. a's put moves the claim from c to a, which proves b a
+			// duplicate; against c, a later writer, b would get false.
+			cPut, aPut := make(chan struct{}), make(chan struct{})
+			f.Spawn(func(a *sched.Frame) {
+				a.Block(func() { <-cPut })
+				wantPut(t, "a", m.BindMap(a).Put("k", 0), false)
+				close(aPut)
+			}, MapWrite(m))
+			f.Spawn(func(b *sched.Frame) {
+				b.Block(func() { <-aPut })
+				wantPut(t, "b", m.BindMap(b).Put("k", 1), true)
+			}, MapWrite(m))
+			f.Spawn(func(c *sched.Frame) {
+				wantPut(t, "c", m.BindMap(c).Put("k", 2), false)
+				close(cPut)
+			}, MapWrite(m))
+		}},
+	}
+	for _, workers := range []int{1, 2} {
+		for _, row := range rows {
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, row.name), func(t *testing.T) {
+				run(workers, func(f *sched.Frame) {
+					row.body(t, f, NewHypermap[string, int](f))
+					f.Sync()
+				})
+			})
+		}
+	}
+}
+
+// TestHypermapPutClaimedKeyAllocs: a Put that finds its key claimed by
+// an earlier writer — dedup's duplicate probe — allocates nothing.
+func TestHypermapPutClaimedKeyAllocs(t *testing.T) {
+	const n = 1000
+	keys := make([][32]byte, n)
+	for i := range keys {
+		keys[i][0], keys[i][1] = byte(i), byte(i>>8)
+	}
 	run(1, func(f *sched.Frame) {
-		m := NewHypermap[string, int](f)
-		h := m.BindMap(f)
-		f.Spawn(func(c *sched.Frame) {
-			if m.BindMap(c).Put("k", 1) {
-				t.Error("child saw dup=true from a claim its ancestor placed after spawning it")
+		m := NewHypermap[[32]byte, int](f)
+		f.Call(func(c *sched.Frame) {
+			h := m.BindMap(c)
+			for _, k := range keys {
+				h.Put(k, 0)
 			}
 		}, MapWrite(m))
-		// With workers=1 the child ran to completion inside Spawn, but
-		// probe soundness is a label property, not a timing one; put
-		// after the spawn so the serial elision orders the child first.
-		h.Put("k", 2)
-		f.Sync()
-		if v, _ := m.Get(f, "k"); v != 1 {
-			t.Fatalf("merged value = %d, want the child's 1 (child precedes parent's later put)", v)
-		}
+		f.Call(func(c *sched.Frame) {
+			h := m.BindMap(c)
+			// Presized, the private view never grows: what is counted is
+			// Put's own work.
+			h.vs.User.m = make(map[[32]byte]int, n)
+			i := 0
+			allocs := testing.AllocsPerRun(n-1, func() {
+				if !h.Put(keys[i], 1) {
+					t.Errorf("key %d: Put = false, but an earlier sibling claimed it", i)
+				}
+				i++
+			})
+			if allocs != 0 {
+				t.Errorf("Put on a claimed key: %v allocs, want 0", allocs)
+			}
+		}, MapWrite(m))
 	})
 }
 

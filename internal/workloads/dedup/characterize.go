@@ -33,12 +33,12 @@ func CharacterizeStages(data []byte, o Options) []StageTime {
 
 	for _, cc := range coarse {
 		t1 := time.Now()
-		fines := Refine(cc, o)
+		chunks := refineChunks(cc, o)
 		rows[1].Seconds += time.Since(t1).Seconds()
 		rows[1].Iterations++
 
-		for _, fine := range fines {
-			c := &Chunk{Data: fine}
+		for i := range chunks {
+			c := &chunks[i]
 			t2 := time.Now()
 			Deduplicate(c, store, o.DedupRounds)
 			t3 := time.Now()

@@ -215,6 +215,33 @@ func TestHyperqueueRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHyperqueueAllocBudget charges a whole RunHyperqueue on 1 MiB to
+// its fine chunks. Set-up — queues, hypermaps, the output stream's
+// growth — costs a few hundred allocations in all, so 4 per chunk is
+// what the chunks' own path may spend: the stored compressed copy, the
+// shared slab, the runtime's per-task state. A DEFLATE writer made per
+// chunk costs about 20.
+func TestHyperqueueAllocBudget(t *testing.T) {
+	data := GenerateInput(42, 1<<20, 0.5)
+	o := DefaultOptions()
+	chunks := 0
+	for _, coarse := range Fragment(data, o) {
+		chunks += len(Refine(coarse, o))
+	}
+	rt := swan.New(2)
+	var res Result
+	run := func() { res = RunHyperqueue(rt, data, o, 64) }
+	run() // warm the segment pool, the task records and the idle writers
+	per := testing.AllocsPerRun(3, run) / float64(chunks)
+	t.Logf("%.2f allocs per fine chunk (%d chunks)", per, chunks)
+	if per > 4 {
+		t.Errorf("%.2f allocs per fine chunk, budget 4", per)
+	}
+	if want := RunSerial(data, o); !bytes.Equal(res.Stream, want.Stream) || res.Checksum != want.Checksum {
+		t.Error("result differs from the serial elision")
+	}
+}
+
 // TestElisionContentEquality: the deterministic part of every model's
 // output is the sequence of chunk contents in stream order (the paper's
 // queue semantics). For the baselines the unique/dup split depends on

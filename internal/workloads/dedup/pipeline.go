@@ -23,8 +23,9 @@ func RunSerial(data []byte, o Options) Result {
 	store := NewStore()
 	var res Result
 	for _, coarse := range Fragment(data, o) {
-		for _, fine := range Refine(coarse, o) {
-			c := &Chunk{Data: fine}
+		chunks := refineChunks(coarse, o)
+		for i := range chunks {
+			c := &chunks[i]
 			Deduplicate(c, store, o.DedupRounds)
 			Compress(c)
 			res.Stream, res.Checksum = output(res.Stream, res.Checksum, c, o)
@@ -49,8 +50,9 @@ func RunPthreads(data []byte, o Options, workersPerStage, queueCap int) Result {
 		},
 		[]pipeline.Stage{
 			{Name: "refine", Workers: workersPerStage, Fn: func(d any, emit func(any)) {
-				for _, fine := range Refine(d.([]byte), o) {
-					emit(&Chunk{Data: fine})
+				chunks := refineChunks(d.([]byte), o)
+				for i := range chunks {
+					emit(&chunks[i])
 				}
 			}},
 			{Name: "dedup", Workers: workersPerStage, Fn: func(d any, emit func(any)) {
@@ -93,20 +95,18 @@ func RunTBB(data []byte, o Options, workers, tokens int) Result {
 		[]pipeline.Filter{
 			{Name: "inner", Mode: pipeline.Parallel, Fn: func(d any) any {
 				// Whole inner pipeline for one coarse chunk: refine,
-				// dedup, compress, gathered into a list.
-				fines := Refine(d.([]byte), o)
-				chunks := make([]*Chunk, len(fines))
-				for j, fine := range fines {
-					c := &Chunk{Data: fine}
-					Deduplicate(c, store, o.DedupRounds)
-					Compress(c)
-					chunks[j] = c
+				// dedup, compress, gathered into a list (the slab).
+				chunks := refineChunks(d.([]byte), o)
+				for j := range chunks {
+					Deduplicate(&chunks[j], store, o.DedupRounds)
+					Compress(&chunks[j])
 				}
 				return chunks
 			}},
 			{Name: "output", Mode: pipeline.SerialInOrder, Fn: func(d any) any {
-				for _, c := range d.([]*Chunk) {
-					res.Stream, res.Checksum = output(res.Stream, res.Checksum, c, o)
+				chunks := d.([]Chunk)
+				for j := range chunks {
+					res.Stream, res.Checksum = output(res.Stream, res.Checksum, &chunks[j], o)
 				}
 				return d
 			}},
@@ -128,22 +128,20 @@ func RunObjects(rt *swan.Runtime, data []byte, o Options) Result {
 		sink := swan.NewVersioned(Result{})
 		for _, coarse := range Fragment(data, o) {
 			coarse := coarse
-			list := swan.NewVersioned[[]*Chunk](nil)
+			list := swan.NewVersioned[[]Chunk](nil)
 			f.Spawn(func(c *swan.Frame) {
-				fines := Refine(coarse, o)
-				chunks := make([]*Chunk, len(fines))
-				for j, fine := range fines {
-					ch := &Chunk{Data: fine}
-					Deduplicate(ch, store, o.DedupRounds)
-					Compress(ch)
-					chunks[j] = ch
+				chunks := refineChunks(coarse, o)
+				for j := range chunks {
+					Deduplicate(&chunks[j], store, o.DedupRounds)
+					Compress(&chunks[j])
 				}
 				list.Set(c, chunks)
 			}, swan.Out(list))
 			f.Spawn(func(c *swan.Frame) {
 				r := sink.Get(c)
-				for _, ch := range list.Get(c) {
-					r.Stream, r.Checksum = output(r.Stream, r.Checksum, ch, o)
+				chunks := list.Get(c)
+				for j := range chunks {
+					r.Stream, r.Checksum = output(r.Stream, r.Checksum, &chunks[j], o)
 				}
 				sink.Set(c, r)
 			}, swan.In(list), swan.InOut(sink))
@@ -229,8 +227,9 @@ func RunHyperqueue(rt *swan.Runtime, data []byte, o Options, segCap int) Result 
 					children = append(children, swan.BatchChild{
 						Body: func(c *swan.Frame) { // FragmentRefine
 							pw := q.BindPush(c)
-							for _, fine := range Refine(coarse, o) {
-								pw.Push(&Chunk{Data: fine})
+							chunks := refineChunks(coarse, o)
+							for i := range chunks {
+								pw.Push(&chunks[i])
 							}
 						},
 						Deps: []swan.Dep{swan.Push(q)},

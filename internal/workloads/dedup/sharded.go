@@ -14,7 +14,7 @@ type Coarse struct {
 // worker: the refined, hashed, (conditionally) compressed fine chunks,
 // still in refine order, plus the ingress stamp for latency accounting.
 type shardOut struct {
-	chunks []*Chunk
+	chunks []Chunk
 	stamp  int64
 }
 
@@ -79,10 +79,9 @@ func RunSharded(rt *swan.Runtime, data []byte, o Options, cfg ShardedConfig) Res
 			func(c *swan.Frame, shard int) func(Coarse) shardOut {
 				seen := make(map[[32]byte]struct{})
 				return func(in Coarse) shardOut {
-					fines := Refine(in.Data, o)
-					chunks := make([]*Chunk, len(fines))
-					for j, fine := range fines {
-						ch := &Chunk{Data: fine}
+					chunks := refineChunks(in.Data, o)
+					for j := range chunks {
+						ch := &chunks[j]
 						HashChunk(ch, o.DedupRounds)
 						if _, dup := seen[ch.Hash]; dup {
 							// Sound dup: an earlier chunk on this shard —
@@ -94,7 +93,6 @@ func RunSharded(rt *swan.Runtime, data []byte, o Options, cfg ShardedConfig) Res
 							seen[ch.Hash] = struct{}{}
 						}
 						Compress(ch)
-						chunks[j] = ch
 					}
 					return shardOut{chunks: chunks, stamp: in.Stamp}
 				}
@@ -118,7 +116,8 @@ func RunSharded(rt *swan.Runtime, data []byte, o Options, cfg ShardedConfig) Res
 			var nextID int64
 			for !p.Empty() {
 				bundle := p.Pop()
-				for _, ch := range bundle.chunks {
+				for j := range bundle.chunks {
+					ch := &bundle.chunks[j]
 					id, loaded := index[ch.Hash]
 					if !loaded {
 						id = nextID
