@@ -1,5 +1,5 @@
-# Local entry points. Every .github/workflows/ci.yml job but the
-# build-and-test one (which also records coverage) runs these targets.
+# Local entry points. Every .github/workflows/ci.yml job runs these
+# targets.
 
 GO ?= go
 
@@ -9,7 +9,7 @@ BENCH_SET  ?= SteadyStateAllocs|QueueChurn|PrepareCompleteContention|BatchedSpaw
 BENCH_TIME ?= 300ms
 BENCH_OUT  ?= BENCH_pr8.json
 
-.PHONY: all build vet fmt-check test race wake-stress bench-smoke bench-json quickcheck soak soak-ci docs ci
+.PHONY: all build vet fmt-check test cover race wake-stress bench-smoke bench-json quickcheck soak soak-ci docs ci
 
 # soak knobs: steps per run, base seed, and the config preset
 # (internal/soak: ci / default / heavy). The nightly workflow raises
@@ -35,6 +35,12 @@ fmt-check:
 
 test:
 	$(GO) test ./...
+
+# The tests with cross-package coverage: writes coverage.out (CI uploads
+# it) and prints the total.
+cover:
+	$(GO) test -coverprofile=coverage.out -coverpkg=./... ./...
+	$(GO) tool cover -func=coverage.out | tail -1
 
 # The scheduler and queue packages must be race-clean, and so must the
 # public API's tests: the Sharded tests with teeth (eager publication, a
@@ -119,4 +125,4 @@ soak-ci:
 docs:
 	$(GO) test -run Example -v ./swan
 
-ci: build vet fmt-check test race wake-stress bench-smoke quickcheck soak-ci docs
+ci: build vet fmt-check cover race wake-stress bench-smoke quickcheck soak-ci docs

@@ -1,7 +1,7 @@
-// Root benchmark suite: one benchmark per paper table/figure plus the
-// ablations called out in DESIGN.md. These run each configuration as a
-// testing.B benchmark for statistical use; cmd/paperbench runs the full
-// sweeps and prints the paper-shaped tables.
+// Root benchmark suite: ablations of the runtime's mechanisms and
+// microbenchmarks of its hot paths. The paper's tables and figures are
+// regenerated by cmd/paperbench (internal/bench), which sweeps each
+// workload's models and checks every output it times.
 package repro_test
 
 import (
@@ -15,131 +15,8 @@ import (
 	"repro/internal/deque"
 	"repro/internal/sched"
 	"repro/internal/workloads/bzip2"
-	"repro/internal/workloads/dedup"
-	"repro/internal/workloads/ferret"
 	"repro/swan"
 )
-
-// benchCores is the reduced core set used by benchmarks (the full sweep
-// lives in cmd/paperbench).
-func benchCores() []int {
-	n := runtime.NumCPU()
-	set := []int{1}
-	if n >= 8 {
-		set = append(set, 8)
-	}
-	if n > 1 {
-		set = append(set, n)
-	}
-	return set
-}
-
-// --- Table 1 ------------------------------------------------------------
-
-func BenchmarkTable1FerretStages(b *testing.B) {
-	p := ferret.DefaultParams()
-	p.NumImages = 64
-	corpus := ferret.NewCorpus(p)
-	b.ResetTimer()
-	var rows []ferret.StageTime
-	for i := 0; i < b.N; i++ {
-		rows = ferret.CharacterizeStages(corpus, p)
-	}
-	b.StopTimer()
-	for _, r := range rows {
-		b.ReportMetric(r.Percent, r.Name+"_%")
-	}
-}
-
-// --- Table 2 ------------------------------------------------------------
-
-func BenchmarkTable2DedupStages(b *testing.B) {
-	data := dedup.GenerateInput(42, 4*1024*1024, 0.5)
-	o := dedup.DefaultOptions()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	var rows []dedup.StageTime
-	for i := 0; i < b.N; i++ {
-		rows = dedup.CharacterizeStages(data, o)
-	}
-	b.StopTimer()
-	for _, r := range rows {
-		b.ReportMetric(r.Percent, r.Name+"_%")
-	}
-}
-
-// --- Figure 8 -----------------------------------------------------------
-
-func BenchmarkFig8Ferret(b *testing.B) {
-	p := ferret.DefaultParams()
-	corpus := ferret.NewCorpus(p)
-	models := map[string]func(cores int){
-		"Pthreads":   func(c int) { ferret.RunPthreads(corpus, p, c+4, 4*c) },
-		"TBB":        func(c int) { ferret.RunTBB(corpus, p, c, 4*c) },
-		"Objects":    func(c int) { ferret.RunObjects(swan.New(c), corpus, p) },
-		"Hyperqueue": func(c int) { ferret.RunHyperqueue(swan.New(c), corpus, p, 16) },
-	}
-	for _, name := range []string{"Pthreads", "TBB", "Objects", "Hyperqueue"} {
-		for _, cores := range benchCores() {
-			b.Run(fmt.Sprintf("model=%s/cores=%d", name, cores), func(b *testing.B) {
-				prev := runtime.GOMAXPROCS(cores)
-				defer runtime.GOMAXPROCS(prev)
-				for i := 0; i < b.N; i++ {
-					models[name](cores)
-				}
-			})
-		}
-	}
-}
-
-// --- Figure 11 ----------------------------------------------------------
-
-func BenchmarkFig11Dedup(b *testing.B) {
-	data := dedup.GenerateInput(42, 4*1024*1024, 0.5)
-	o := dedup.DefaultOptions()
-	models := map[string]func(cores int){
-		"Pthreads":   func(c int) { dedup.RunPthreads(data, o, c+4, 4*c) },
-		"TBB":        func(c int) { dedup.RunTBB(data, o, c, 4*c) },
-		"Objects":    func(c int) { dedup.RunObjects(swan.New(c), data, o) },
-		"Hyperqueue": func(c int) { dedup.RunHyperqueue(swan.New(c), data, o, 64) },
-	}
-	for _, name := range []string{"Pthreads", "TBB", "Objects", "Hyperqueue"} {
-		for _, cores := range benchCores() {
-			b.Run(fmt.Sprintf("model=%s/cores=%d", name, cores), func(b *testing.B) {
-				prev := runtime.GOMAXPROCS(cores)
-				defer runtime.GOMAXPROCS(prev)
-				b.SetBytes(int64(len(data)))
-				for i := 0; i < b.N; i++ {
-					models[name](cores)
-				}
-			})
-		}
-	}
-}
-
-// --- §6.3 bzip2 ---------------------------------------------------------
-
-func BenchmarkBzip2(b *testing.B) {
-	data := bzip2.GenerateInput(7, 1024*1024)
-	const blockSize = 64 * 1024
-	models := map[string]func(cores int){
-		"Objects":    func(c int) { bzip2.RunObjects(swan.New(c), data, blockSize) },
-		"Hyperqueue": func(c int) { bzip2.RunHyperqueue(swan.New(c), data, blockSize, 8) },
-		"LoopSplit":  func(c int) { bzip2.RunHyperqueueLoopSplit(swan.New(c), data, blockSize, 8, 8) },
-	}
-	for _, name := range []string{"Objects", "Hyperqueue", "LoopSplit"} {
-		for _, cores := range benchCores() {
-			b.Run(fmt.Sprintf("model=%s/cores=%d", name, cores), func(b *testing.B) {
-				prev := runtime.GOMAXPROCS(cores)
-				defer runtime.GOMAXPROCS(prev)
-				b.SetBytes(int64(len(data)))
-				for i := 0; i < b.N; i++ {
-					models[name](cores)
-				}
-			})
-		}
-	}
-}
 
 // --- Ablation: queue segment length (§5.1) -------------------------------
 

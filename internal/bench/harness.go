@@ -2,17 +2,16 @@
 // figure of the paper's evaluation (§6) — Table 1, Figure 8, Table 2,
 // Figure 11 and the bzip2 results of §6.3 — as formatted text, and
 // provides the measurement plumbing (core sweeps, speedup series, table
-// rendering) shared by cmd/paperbench and the root bench_test.go.
+// rendering) behind cmd/paperbench.
 package bench
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
 	"time"
-
-	"repro/internal/stats"
 )
 
 // Table is a formatted experiment artifact.
@@ -87,29 +86,19 @@ func CoreCounts(max int) []int {
 	return append(out, max)
 }
 
-// MeasureSample times fn reps times with GOMAXPROCS pinned to cores and
-// returns the full sample, so callers can report dispersion as well as
-// the steady-state estimate.
-func MeasureSample(cores, reps int, fn func()) *stats.Sample {
-	if reps < 1 {
-		reps = 1
-	}
+// Measure times fn with GOMAXPROCS pinned to cores, returning the best of
+// reps runs in seconds (the paper reports steady-state performance;
+// best-of filters scheduler warmup noise).
+func Measure(cores, reps int, fn func()) float64 {
 	prev := runtime.GOMAXPROCS(cores)
 	defer runtime.GOMAXPROCS(prev)
-	var s stats.Sample
-	for i := 0; i < reps; i++ {
+	best := math.Inf(1)
+	for i := 0; i < max(reps, 1); i++ {
 		start := time.Now()
 		fn()
-		s.Add(time.Since(start).Seconds())
+		best = min(best, time.Since(start).Seconds())
 	}
-	return &s
-}
-
-// Measure times fn with GOMAXPROCS pinned to cores, returning the best of
-// reps runs (the paper reports steady-state performance; best-of filters
-// scheduler warmup noise).
-func Measure(cores, reps int, fn func()) float64 {
-	return MeasureSample(cores, reps, fn).Min()
+	return best
 }
 
 // SpeedupTable renders a figure's series as a table: one row per core

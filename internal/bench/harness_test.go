@@ -97,16 +97,3 @@ func TestStageTablePercentages(t *testing.T) {
 		t.Fatalf("percent cells: %v / %v", tb.Rows[0], tb.Rows[1])
 	}
 }
-
-func TestDefaultConfig(t *testing.T) {
-	c := DefaultConfig()
-	if c.MaxCores != runtime.NumCPU() || c.Scale != 1 {
-		t.Fatalf("unexpected defaults: %+v", c)
-	}
-	if len(c.DedupInput()) != 8*1024*1024 {
-		t.Fatal("dedup input size")
-	}
-	if c.FerretParams().NumImages <= 0 {
-		t.Fatal("ferret params")
-	}
-}

@@ -16,45 +16,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/qcheck"
 	"repro/swan"
 )
 
-// modes are the two ways a mode sweep runs each case, and a case must
-// come out the same under both. "steal" gives the case a runtime of its
-// own. "goroutine" shares the runtime's workers with a second Run, issued
-// from a goroutine of its own, that keeps spawning unrelated task waves
-// until the case ends, so the case meets steal schedules and run-token
-// hand-offs it does not control. Sweeps that build their runtime out of
-// reach (qcheck's Check) or read runtime-wide counters keep only "steal".
-var modes = []string{"steal", "goroutine"}
-
-// newRuntime returns the runtime for one case of a mode sweep; the
-// "goroutine" mode's background Run stops when the case ends, or at once
-// if the runtime is canceled.
-func newRuntime(t *testing.T, workers int, mode string) *swan.Runtime {
-	rt := swan.New(workers)
-	if mode == "goroutine" {
-		stop, done := make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(done)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if rt.Run(func(f *swan.Frame) {
-					f.SpawnN(8, func(*swan.Frame, int) { runtime.Gosched() })
-				}) != nil {
-					return
-				}
-			}
-		}()
-		t.Cleanup(func() { close(stop); <-done })
-	}
-	return rt
-}
+// modes and newRuntime are package core's mode sweep (export_test.go).
+// Sweeps that build their runtime out of reach (qcheck's Check) or read
+// runtime-wide counters keep only "steal".
+var modes, newRuntime = core.Modes, core.NewRuntime
 
 // TestRegressionCompletedProducerVisibility is the distilled shape of
 // quickcheck seed 139. The consumer A inherits an empty user view

@@ -220,79 +220,6 @@ func TestTBBIdentityOrder(t *testing.T) {
 	}
 }
 
-func TestTBBDropKeepsOrder(t *testing.T) {
-	const n = 200
-	i := 0
-	var got []int
-	RunTBB(
-		func() any {
-			if i >= n {
-				return nil
-			}
-			i++
-			return i - 1
-		},
-		[]Filter{
-			{Name: "drop-odds", Mode: Parallel, Fn: func(d any) any {
-				if d.(int)%2 == 1 {
-					return Drop
-				}
-				return d
-			}},
-			{Name: "out", Mode: SerialInOrder, Fn: func(d any) any {
-				got = append(got, d.(int))
-				return d
-			}},
-		},
-		6, 10,
-	)
-	if len(got) != n/2 {
-		t.Fatalf("output saw %d, want %d", len(got), n/2)
-	}
-	for k, v := range got {
-		if v != k*2 {
-			t.Fatalf("got[%d] = %d, want %d", k, v, k*2)
-		}
-	}
-}
-
-func TestTBBSerialOutOfOrderExclusive(t *testing.T) {
-	const n = 100
-	i := 0
-	var inside, peak atomic.Int64
-	var count atomic.Int64
-	RunTBB(
-		func() any {
-			if i >= n {
-				return nil
-			}
-			i++
-			return i
-		},
-		[]Filter{
-			{Name: "serial", Mode: SerialOutOfOrder, Fn: func(d any) any {
-				c := inside.Add(1)
-				for {
-					p := peak.Load()
-					if c <= p || peak.CompareAndSwap(p, c) {
-						break
-					}
-				}
-				count.Add(1)
-				inside.Add(-1)
-				return d
-			}},
-		},
-		8, 8,
-	)
-	if peak.Load() != 1 {
-		t.Fatalf("serial filter ran %d-way concurrent", peak.Load())
-	}
-	if count.Load() != n {
-		t.Fatalf("processed %d, want %d", count.Load(), n)
-	}
-}
-
 func TestTBBTokenLimit(t *testing.T) {
 	const tokens = 3
 	var inflight, peak atomic.Int64
@@ -380,33 +307,6 @@ func TestTBBMultipleSerialInOrderFilters(t *testing.T) {
 		if second[k] != k+1000 {
 			t.Fatalf("second[%d] = %d", k, second[k])
 		}
-	}
-}
-
-func TestTBBDropInFirstFilterReleasesOrder(t *testing.T) {
-	// Drop everything; in-order filters downstream must not wedge.
-	const n = 50
-	i := 0
-	var got []int
-	RunTBB(
-		func() any {
-			if i >= n {
-				return nil
-			}
-			i++
-			return i - 1
-		},
-		[]Filter{
-			{Name: "dropall", Mode: Parallel, Fn: func(d any) any { return Drop }},
-			{Name: "sink", Mode: SerialInOrder, Fn: func(d any) any {
-				got = append(got, d.(int))
-				return d
-			}},
-		},
-		4, 8,
-	)
-	if len(got) != 0 {
-		t.Fatalf("sink saw %v after drop-all", got)
 	}
 }
 

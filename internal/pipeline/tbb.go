@@ -10,26 +10,17 @@ const (
 	Parallel FilterMode = iota
 	// SerialInOrder filters process one item at a time, in input order.
 	SerialInOrder
-	// SerialOutOfOrder filters process one item at a time, any order.
-	SerialOutOfOrder
 )
 
 // Filter is one TBB-style pipeline filter. Filters are strictly 1:1:
 // each input item yields exactly one output item — the structural
 // constraint the paper contrasts with hyperqueues (§6.2: variable
-// input/output counts force restructuring under TBB). A filter may
-// return the item unchanged or a transformed value; returning Drop
-// removes the item from the stream (modelling tbb's pattern of passing
-// through a tagged wrapper).
+// input/output counts force restructuring under TBB).
 type Filter struct {
 	Name string
 	Mode FilterMode
 	Fn   func(any) any
 }
-
-// Drop is the sentinel a filter returns to delete an item from the
-// stream while keeping sequence accounting intact.
-var Drop = new(struct{})
 
 // RunTBB executes a token-limited structured pipeline, the shape of
 // tbb::pipeline::run(maxTokens). The input function is the first,
@@ -56,7 +47,7 @@ func RunTBB(input func() any, filters []Filter, workers, maxTokens int) {
 	type serialState struct {
 		mu   sync.Mutex
 		cond *sync.Cond
-		next int64 // next sequence number to admit (in-order mode)
+		next int64 // next sequence number to admit
 	}
 	states := make([]*serialState, len(filters))
 	for i, f := range filters {
@@ -95,39 +86,20 @@ func RunTBB(input func() any, filters []Filter, workers, maxTokens int) {
 				nextIn++
 				inMu.Unlock()
 
-				dropped := false
 				for i, f := range filters {
-					switch f.Mode {
-					case Parallel:
-						if !dropped {
-							tk.data = f.Fn(tk.data)
-						}
-					case SerialOutOfOrder:
-						if !dropped {
-							s := states[i]
-							s.mu.Lock()
-							tk.data = f.Fn(tk.data)
-							s.mu.Unlock()
-						}
-					case SerialInOrder:
-						// Dropped items still take their in-order turn so
-						// successors are released in sequence, mirroring
-						// TBB's pass-through of tagged empties.
-						s := states[i]
-						s.mu.Lock()
-						for s.next != tk.seq {
-							s.cond.Wait()
-						}
-						if !dropped {
-							tk.data = f.Fn(tk.data)
-						}
-						s.next++
-						s.cond.Broadcast()
-						s.mu.Unlock()
+					if f.Mode == Parallel {
+						tk.data = f.Fn(tk.data)
+						continue
 					}
-					if tk.data == Drop {
-						dropped = true
+					s := states[i]
+					s.mu.Lock()
+					for s.next != tk.seq {
+						s.cond.Wait()
 					}
+					tk.data = f.Fn(tk.data)
+					s.next++
+					s.cond.Broadcast()
+					s.mu.Unlock()
 				}
 				tokens <- struct{}{}
 			}
