@@ -376,6 +376,31 @@ func TestHypermapPutClaimedKeyAllocs(t *testing.T) {
 	})
 }
 
+// TestReducerSteadyStateZeroAllocs: the reducer write path — a bound
+// handle folding values into its task-private view — takes no lock and
+// allocates nothing once the view exists.
+func TestReducerSteadyStateZeroAllocs(t *testing.T) {
+	run(1, func(f *sched.Frame) {
+		r := NewReducer(f, Monoid[int]{
+			Identity: func() int { return 0 },
+			Combine:  func(into *int, from int) { *into += from },
+		})
+		f.Spawn(func(c *sched.Frame) {
+			h := r.BindReduce(c)
+			lap := func() {
+				for i := 0; i < 64; i++ {
+					h.Add(i)
+				}
+			}
+			lap() // warm the view
+			if allocs := testing.AllocsPerRun(50, lap); allocs != 0 {
+				t.Errorf("reducer lap allocates %v times per run, want 0", allocs)
+			}
+		}, Reduce(r))
+		f.Sync()
+	})
+}
+
 func TestHypermapPutIfAbsentInterning(t *testing.T) {
 	run(1, func(f *sched.Frame) {
 		m := NewHypermap[string, int](f)

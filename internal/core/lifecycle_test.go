@@ -102,24 +102,44 @@ func TestQueueRecycleReuse(t *testing.T) {
 // TestQueueRecycleZeroAllocs is the churn claim as a hard assertion: a
 // warmed use→drain→recycle lap — the shape dedup's per-coarse-chunk
 // pipelines repeat thousands of times — performs zero heap allocations.
+// The fresh row is the pre-recycling shape: a new queue per lap, which
+// the owner keeps attached (frame attachment, sync hook) and which
+// strands its open tail segment, so the lap pays the queue structure and
+// one segment. It reads 7; the bound is the 8 once recorded for this lap
+// plus half an allocation.
 func TestQueueRecycleZeroAllocs(t *testing.T) {
-	rt := sched.New(1)
-	rt.Run(func(f *sched.Frame) {
-		q := NewWithCapacity[int](f, 8)
-		lap := func() {
-			for i := 0; i < 24; i++ {
-				q.Push(f, i)
-			}
-			for !q.Empty(f) {
-				q.Pop(f)
-			}
-			q.Recycle(f)
+	fill := func(f *sched.Frame, q *Queue[int], n int) {
+		for i := 0; i < n; i++ {
+			q.Push(f, i)
 		}
-		lap() // warm the shared pool
-		if allocs := testing.AllocsPerRun(50, lap); allocs != 0 {
-			t.Errorf("recycle lap allocates %v times per run, want 0", allocs)
+		for !q.Empty(f) {
+			q.Pop(f)
 		}
-	})
+	}
+	rows := []struct {
+		name string
+		max  float64
+		lap  func(f *sched.Frame) func()
+	}{
+		{"recycle", 0, func(f *sched.Frame) func() {
+			q := NewWithCapacity[int](f, 8)
+			return func() { fill(f, q, 24); q.Recycle(f) }
+		}},
+		{"fresh", 8.5, func(f *sched.Frame) func() {
+			return func() { fill(f, NewWithCapacity[int](f, 64), 192) }
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			sched.New(1).Run(func(f *sched.Frame) {
+				lap := row.lap(f)
+				lap() // warm the shared pool
+				if allocs := testing.AllocsPerRun(50, lap); allocs > row.max {
+					t.Errorf("%s lap allocates %v times per run, want <= %v", row.name, allocs, row.max)
+				}
+			})
+		})
+	}
 }
 
 // TestRecycleGuards checks that Recycle refuses unsafe states instead of

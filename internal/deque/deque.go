@@ -10,9 +10,9 @@
 // The Swan-like scheduler in internal/sched uses one deque per worker as
 // its dispatch substrate: spawns push at the bottom of the spawning
 // worker's deque, sync points pop from it help-first, and idle workers
-// steal from randomized victims. BenchmarkAblationDequeVsChannelDispatch
-// in bench_test.go compares the raw deque against a channel as a dispatch
-// primitive.
+// steal from randomized victims. The benchmark ladder's deque.push_pop_ns
+// and deque.steal_ns probes (benchmark/) price the raw deque's owner and
+// thief paths.
 package deque
 
 import "sync/atomic"

@@ -26,32 +26,43 @@ func emptyBody(*Frame)       {}
 func emptyBodyN(*Frame, int) {}
 
 // TestSpawnAllocBudget is the unit-level guard of the spawn path's
-// allocation claim. It runs on one worker, so that no thief carries
-// records away and the counts are exact: in steady state a spawn takes
-// its record from the free list and allocates nothing at all.
+// allocation claim. The rows on one worker, where no thief carries
+// records away and the counts are exact, want nothing at all: in steady
+// state a spawn takes its record from the free list. The rows on every
+// core of the box, where thieves retire records to their own free lists,
+// allow a spawn its record and nothing more: budget 1 per spawn.
 func TestSpawnAllocBudget(t *testing.T) {
 	var dep, dep2, dep3 countDep
+	wide := runtime.NumCPU()
 	budgets := []struct {
-		name string
-		max  float64
-		op   func(f *Frame)
+		name    string
+		workers int
+		max     float64 // allocations per run
+		op      func(f *Frame)
 	}{
-		{"Spawn+Sync", 0, func(f *Frame) { f.Spawn(emptyBody); f.Sync() }},
-		{"Spawn(dep)+Sync", 0, func(f *Frame) { f.Spawn(emptyBody, &dep); f.Sync() }},
-		{"Spawn(3 deps)+Sync", 0, func(f *Frame) { f.Spawn(emptyBody, &dep, &dep2, &dep3); f.Sync() }},
-		{"SpawnN(16)+Sync", 0, func(f *Frame) { f.SpawnN(16, emptyBodyN, &dep); f.Sync() }},
-		{"Call", 1, func(f *Frame) { f.Call(emptyBody) }}, // its done channel
+		{"Spawn+Sync", 1, 0, func(f *Frame) { f.Spawn(emptyBody); f.Sync() }},
+		{"Spawn(dep)+Sync", 1, 0, func(f *Frame) { f.Spawn(emptyBody, &dep); f.Sync() }},
+		{"Spawn(3 deps)+Sync", 1, 0, func(f *Frame) { f.Spawn(emptyBody, &dep, &dep2, &dep3); f.Sync() }},
+		{"SpawnN(16)+Sync", 1, 0, func(f *Frame) { f.SpawnN(16, emptyBodyN, &dep); f.Sync() }},
+		{"Call", 1, 1, func(f *Frame) { f.Call(emptyBody) }}, // its done channel
+		{"256 Spawns+Sync", wide, 256, func(f *Frame) {
+			for i := 0; i < 256; i++ {
+				f.Spawn(emptyBody)
+			}
+			f.Sync()
+		}},
+		{"SpawnN(16)+Sync", wide, 16, func(f *Frame) { f.SpawnN(16, emptyBodyN); f.Sync() }},
 	}
-	New(1).Run(func(f *Frame) {
-		for _, b := range budgets {
+	for _, b := range budgets {
+		New(b.workers).Run(func(f *Frame) {
 			for i := 0; i < 4; i++ {
 				b.op(f) // warm the free list and the spill slices
 			}
 			if got := testing.AllocsPerRun(200, func() { b.op(f) }); got > b.max {
-				t.Errorf("%s: %v allocs per run, budget %v", b.name, got, b.max)
+				t.Errorf("%s on %d workers: %v allocs per run, budget %v", b.name, b.workers, got, b.max)
 			}
-		}
-	})
+		})
+	}
 	if p, c := dep.prepared.Load(), dep.completed.Load(); p == 0 || p != c {
 		t.Errorf("dep protocol: %d Prepare, %d Complete", p, c)
 	}

@@ -330,73 +330,77 @@ func testEagerPublication(t *testing.T, workers, shards int) {
 // TestShardedSteadyStateAllocs runs the fan-out at two stream lengths on
 // one warmed runtime and wants the same allocations from both: what a run
 // allocates is its set-up — tasks, queues, the per-Launch batch buffers —
-// and nothing per element or per batch. One worker on one P, so that no
-// thief and no second core skews the count, and a stream that fits the
-// segment pool (In() and the route queue are unbounded). Parks allocate
-// nothing, so however the stages interleave the two lengths allocate the
-// same; the best of several runs drops what the Go runtime adds now and
-// then (a sudog, a timer). The short stream runs first: every run
-// abandons one segment per queue, and after the long stream the short one
-// would refill those from the fuller pools for a while instead of
-// allocating. One allocation per batch in one stage would add 54, one
-// per element 14 000.
+// and nothing per element or per batch. It does so at 1, 2 and 4 shards.
+// One worker on one P, so that no thief and no second core skews the
+// count, and a stream that fits the segment pool (In() and the route
+// queue are unbounded). Parks allocate nothing, so however the stages
+// interleave the two lengths allocate the same; the best of several runs
+// drops what the Go runtime adds now and then (a sudog, a timer). The
+// short stream runs first: every run abandons one segment per queue, and
+// after the long stream the short one would refill those from the fuller
+// pools for a while instead of allocating. At 2 shards one allocation per
+// batch in one stage would add 54, one per element 14 000.
 func TestShardedSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact Mallocs counts are not meaningful under the race detector")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection mid-run skews the Mallocs delta
-	rt := swan.New(1)
-	var count int
-	run := func(n int) {
-		count = 0
-		rt.Run(func(f *swan.Frame) {
-			s := swan.NewSharded(f, swan.ShardConfig{Shards: 2, Bound: 1 << 14, SegCap: 1024},
-				func(v uint64) uint64 { return v },
-				func(c *swan.Frame, shard int) func(uint64) uint64 {
-					return func(v uint64) uint64 { return v + 1 }
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			rt := swan.New(1)
+			var count int
+			run := func(n int) {
+				count = 0
+				rt.Run(func(f *swan.Frame) {
+					s := swan.NewSharded(f, swan.ShardConfig{Shards: shards, Bound: 1 << 14, SegCap: 1024},
+						func(v uint64) uint64 { return v },
+						func(c *swan.Frame, shard int) func(uint64) uint64 {
+							return func(v uint64) uint64 { return v + 1 }
+						})
+					f.Spawn(func(c *swan.Frame) {
+						p := s.In().BindPush(c)
+						for i := 0; i < n; i++ {
+							p.Push(uint64(i))
+						}
+					}, swan.Push(s.In()))
+					s.Launch(f)
+					f.Spawn(func(c *swan.Frame) {
+						p := s.Out().BindPop(c)
+						for !p.Empty() {
+							p.Pop()
+							count++
+						}
+					}, swan.Pop(s.Out()))
+					f.Sync()
 				})
-			f.Spawn(func(c *swan.Frame) {
-				p := s.In().BindPush(c)
-				for i := 0; i < n; i++ {
-					p.Push(uint64(i))
+				if count != n {
+					t.Fatalf("%d results, want %d", count, n)
 				}
-			}, swan.Push(s.In()))
-			s.Launch(f)
-			f.Spawn(func(c *swan.Frame) {
-				p := s.Out().BindPop(c)
-				for !p.Empty() {
-					p.Pop()
-					count++
+			}
+			// fewest is the least one run of n elements allocates, once the
+			// pools have settled at that length.
+			fewest := func(n int) uint64 {
+				for i := 0; i < 3; i++ {
+					run(n)
 				}
-			}, swan.Pop(s.Out()))
-			f.Sync()
+				least := ^uint64(0)
+				var before, after runtime.MemStats
+				for i := 0; i < 20; i++ {
+					runtime.ReadMemStats(&before)
+					run(n)
+					runtime.ReadMemStats(&after)
+					least = min(least, after.Mallocs-before.Mallocs)
+				}
+				return least
+			}
+			const short, long = 2_000, 16_000
+			allocsShort, allocsLong := fewest(short), fewest(long)
+			if allocsLong != allocsShort {
+				t.Errorf("%d allocations for %d elements, %d for %d: %.4f per extra element, want 0",
+					allocsLong, long, allocsShort, short, (float64(allocsLong)-float64(allocsShort))/(long-short))
+			}
 		})
-		if count != n {
-			t.Fatalf("%d results, want %d", count, n)
-		}
-	}
-	// fewest is the least one run of n elements allocates, once the pools
-	// have settled at that length.
-	fewest := func(n int) uint64 {
-		for i := 0; i < 3; i++ {
-			run(n)
-		}
-		least := ^uint64(0)
-		var before, after runtime.MemStats
-		for i := 0; i < 20; i++ {
-			runtime.ReadMemStats(&before)
-			run(n)
-			runtime.ReadMemStats(&after)
-			least = min(least, after.Mallocs-before.Mallocs)
-		}
-		return least
-	}
-	const short, long = 2_000, 16_000
-	allocsShort, allocsLong := fewest(short), fewest(long)
-	if allocsLong != allocsShort {
-		t.Errorf("%d allocations for %d elements, %d for %d: %.4f per extra element, want 0",
-			allocsLong, long, allocsShort, short, (float64(allocsLong)-float64(allocsShort))/(long-short))
 	}
 }
 
