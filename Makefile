@@ -61,8 +61,9 @@ bench-smoke:
 # Per-element parity with a Go channel: ten runs of the 1P/1C SPSC
 # ablation in one process, and the median hyperqueue ns/op over the median
 # channel ns/op may not exceed 1.03 (a recorded 0.897 plus 15 %). Medians,
-# because one sample of either side is noise on a shared box. A missing
-# entry fails the gate instead of passing it.
+# because one sample of either side is noise on a shared box; each side's
+# min and max over its ten samples are printed too, so a failing run shows
+# which side moved. A missing entry fails the gate instead of passing it.
 bench-ratio:
 	@out=$$($(GO) test -run='^$$' -bench=AblationQueueVsChannel -benchtime=300ms -count=10 .) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | awk ' \
@@ -79,6 +80,7 @@ bench-ratio:
 			if (!n["hyperqueue"] || !n["channel"]) { print "bench-ratio: no hyperqueue or no channel entry"; exit 1 } \
 			hq = median("hyperqueue"); ch = median("channel"); \
 			printf "hyperqueue median %.1f ns/op (%d runs), channel median %.1f ns/op (%d runs), ratio %.3f (bound 1.03)\n", hq, n["hyperqueue"], ch, n["channel"], hq / ch; \
+			printf "hyperqueue min %.1f max %.1f ns/op, channel min %.1f max %.1f ns/op\n", v["hyperqueue", 1], v["hyperqueue", n["hyperqueue"]], v["channel", 1], v["channel", n["channel"]]; \
 			exit !(hq / ch <= 1.03); \
 		}'
 

@@ -237,9 +237,9 @@ func (p *Popper[T]) popInto(dst []T, fold bool) int {
 		s := q.headView.Head
 		start, avail := s.contiguousReadable()
 		take := min(int64(len(dst)-n), avail)
-		copy(dst[n:], s.buf[start:start+take])
-		clear(s.buf[start : start+take]) // drop references for the garbage collector
-		s.head.Add(take)                 // release: frees the slots to the producer
+		copy(dst[n:], s.cbuf[start:start+take])
+		clear(s.cbuf[start : start+take]) // drop references for the garbage collector
+		s.head.Add(take)                  // release: frees the slots to the producer
 		n += int(take)
 	}
 	if n > 0 {
@@ -288,7 +288,7 @@ func (p *Popper[T]) ReadSlice(max int) []T {
 	if n > int64(max) {
 		n = int64(max)
 	}
-	return s.buf[start : start+n]
+	return s.cbuf[start : start+n]
 }
 
 // ConsumeRead removes the first n values after a ReadSlice. The
@@ -298,11 +298,11 @@ func (p *Popper[T]) ReadSlice(max int) []T {
 func (p *Popper[T]) ConsumeRead(n int) {
 	p.ensure()
 	s := p.q.headView.Head
-	if int64(n) > s.size() {
+	start, avail := s.contiguousReadable()
+	if int64(n) > avail {
 		panic("hyperqueue: ConsumeRead past the end of the read slice")
 	}
-	start, _ := s.contiguousReadable()
-	clear(s.buf[start : start+int64(n)]) // drop references for the garbage collector
+	clear(s.cbuf[start : start+int64(n)]) // drop references for the garbage collector
 	s.head.Add(int64(n))
 	if n > 0 {
 		if fl := p.q.flow; fl != nil {

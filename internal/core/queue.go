@@ -419,16 +419,16 @@ func (q *Queue[T]) acquireConsumer(f *sched.Frame, qv *qviews[T]) {
 func (q *Queue[T]) reachableData() bool {
 	for {
 		s := q.headView.Head
-		if s.size() > 0 {
+		if s.readable() {
 			return true
 		}
 		n := s.next.Load()
 		if n == nil {
 			return false
 		}
-		// Re-check emptiness after the link load: a value may have landed
-		// between the size check and the link load.
-		if s.size() > 0 {
+		// Re-check emptiness after the link load, reloading tail: a value
+		// may have landed between the first check and the link load.
+		if s.reloadTail() > 0 {
 			return true
 		}
 		q.headView.Head = n

@@ -17,6 +17,9 @@ func TestSegPoolGetPut(t *testing.T) {
 
 	s := newSegment[int](8)
 	s.push(1)
+	if !s.readable() {
+		t.Fatal("pushed value not readable")
+	}
 	s.pop()
 	p.put(0, s)
 	if got := p.get(0); got != s {
@@ -53,6 +56,67 @@ func TestSegPoolGetPut(t *testing.T) {
 	p.put(0, newSegment[int](32))
 	if g := p.get(0); len(g.buf) != 8 {
 		t.Fatalf("pool returned a segment of capacity %d, want the configured 8", len(g.buf))
+	}
+}
+
+// TestRecycledSegmentForgetsItsLap runs a segment once around its ring
+// and a step past, so both sides' cached indices are non-zero, recycles
+// it through the pool, and checks it behaves as a fresh segment: the
+// consumer sees nothing before the next push, and the producer gets
+// exactly segCap slots before full reports true. A reset that kept either
+// cached index would let the consumer read slots that hold no value, or
+// the producer overwrite values not yet popped.
+func TestRecycledSegmentForgetsItsLap(t *testing.T) {
+	const segCap = 8
+	var p segPool[int]
+	p.init(1, segCap)
+	s := p.get(0)
+	// push's caller must have seen full() report false, and pop's caller
+	// readable() report true.
+	pop := func() int {
+		if !s.readable() {
+			t.Fatal("pop on a segment with no readable value")
+		}
+		return s.pop()
+	}
+	for i := 0; i <= segCap; i++ {
+		if s.full() {
+			if got := pop(); got != i-segCap {
+				t.Fatalf("lap 1 pop = %d, want %d", got, i-segCap)
+			}
+			if s.full() {
+				t.Fatal("segment still full after a pop")
+			}
+		}
+		s.push(i)
+	}
+	for s.readable() {
+		s.pop()
+	}
+	p.put(0, s)
+	if got := p.get(0); got != s {
+		t.Fatal("get did not return the recycled segment")
+	}
+	if s.readable() {
+		t.Fatal("recycled segment shows a readable value before any push")
+	}
+	pushed := 0
+	for ; !s.full(); pushed++ {
+		if pushed == segCap {
+			t.Fatalf("recycled segment accepts more than its %d slots", segCap)
+		}
+		s.push(100 + pushed)
+	}
+	if pushed != segCap {
+		t.Fatalf("recycled segment full after %d pushes, want %d", pushed, segCap)
+	}
+	for i := 0; i < segCap; i++ {
+		if got := pop(); got != 100+i {
+			t.Fatalf("lap 2 pop %d = %d, want %d", i, got, 100+i)
+		}
+	}
+	if s.readable() {
+		t.Fatal("drained recycled segment shows a readable value")
 	}
 }
 

@@ -76,7 +76,7 @@ func (q *Queue[T]) CommitWrite(f *sched.Frame, n int) {
 		panic("hyperqueue: CommitWrite without WriteSlice")
 	}
 	t := seg.tail.Load()
-	if t-seg.head.Load()+int64(n) > int64(len(seg.buf)) {
+	if int64(len(seg.buf))-(t-seg.headCache) < int64(n) && seg.reloadHead() < int64(n) {
 		panic("hyperqueue: CommitWrite past the end of the write slice")
 	}
 	for left := int64(n); left > 0; {

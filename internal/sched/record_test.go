@@ -189,9 +189,23 @@ func TestStaleFramePanics(t *testing.T) {
 				var root *Frame
 				newRuntime(t, 1, mode).Run(func(f *Frame) {
 					root = f
+					// The "goroutine" mode's background Run may hand the
+					// child's record to a task of its own while f syncs.
+					// A reused record belongs to a live task and cannot
+					// be refused, so spawn again until the record is
+					// still retired; f holds the only run token from
+					// here to the use, so it stays retired.
 					var stale *Frame
-					f.Spawn(func(c *Frame) { stale = c })
-					f.Sync()
+					for try := 0; ; try++ {
+						f.Spawn(func(c *Frame) { stale = c })
+						f.Sync()
+						if stale.gen&1 == 1 {
+							break
+						}
+						if try == 100 {
+							t.Fatal("every child record was reused before the test could use it")
+						}
+					}
 					mustPanicStale(t, "child", func() { use(stale) })
 				})
 				mustPanicStale(t, "root", func() { use(root) })
