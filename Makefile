@@ -128,7 +128,18 @@ soak-ci:
 
 # Documentation is executable: the swan Example functions are the code
 # samples README/ARCHITECTURE point at, and running them catches doc rot.
+# The examples run too: quickstart exits 1 on an order violation, and
+# streamstats must print the same digest at 1 and at 2 workers, as its
+# header promises for any worker count.
 docs:
 	$(GO) test -run Example -v ./swan
+	$(GO) run ./examples/quickstart -workers 2 -total 2000
+	$(GO) run ./examples/logpipeline -files 20
+	@a=$$($(GO) run ./examples/streamstats -samples 20000 -workers 1 | grep '^digest '); \
+	b=$$($(GO) run ./examples/streamstats -samples 20000 -workers 2 | grep '^digest '); \
+	echo "streamstats -workers 1: $$a"; echo "streamstats -workers 2: $$b"; \
+	if [ -z "$$a" ] || [ "$$a" != "$$b" ]; then \
+		echo "streamstats: the digest differs between -workers 1 and -workers 2"; exit 1; \
+	fi
 
 ci: build vet fmt-check cover race wake-stress bench-smoke bench-ratio quickcheck soak-ci docs

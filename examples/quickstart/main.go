@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"runtime"
 
 	"repro/swan"
@@ -70,5 +71,6 @@ func main() {
 		fmt.Println("deterministic: values arrived in serial program order ✓")
 	} else {
 		fmt.Println("ORDER VIOLATION — this would be a bug")
+		os.Exit(1)
 	}
 }

@@ -449,6 +449,17 @@ func TestManyValuesThroughput(t *testing.T) {
 	}
 }
 
+// localView returns the local view (s, s).
+func localView[T any](s *segment[T]) view[T] { return view[T]{Head: s, Tail: s, Valid: true} }
+
+// reduce implements reduce((h1,t1),(h2,t2)) = ((h1,t2), ε) (§3.3) on its
+// own; the queue's structural folds go through its engine, which also
+// counts effective merges.
+func reduce[T any](v1, v2 *view[T]) {
+	var ops qviewOps[T]
+	ops.Reduce(v1, v2)
+}
+
 func TestViewStringer(t *testing.T) {
 	v := emptyView[int]()
 	if v.String() != "ε" {

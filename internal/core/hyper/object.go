@@ -116,9 +116,6 @@ func (o *Obj[V, O]) HyperStat() Stat {
 	return Stat{Name: o.name, Kind: o.kind, Merges: m, Views: o.views.Load()}
 }
 
-// Name reports the registration name given at Init ("" when unnamed).
-func (o *Obj[V, O]) Name() string { return o.name }
-
 type objDep[V any, O Ops[V]] struct {
 	o *Obj[V, O]
 }

@@ -36,23 +36,6 @@ type View[S Chain[S]] struct {
 	Valid  bool
 }
 
-// Local returns the local view (s, s).
-func Local[S Chain[S]](s S) View[S] {
-	return View[S]{Head: s, Tail: s, Valid: true}
-}
-
-// HasLocalTail reports whether the view can accept pushes at its tail.
-func (v *View[S]) HasLocalTail() bool {
-	var zero S
-	return v.Valid && v.Tail != zero
-}
-
-// HasLocalHead reports whether the view exposes a poppable head.
-func (v *View[S]) HasLocalHead() bool {
-	var zero S
-	return v.Valid && v.Head != zero
-}
-
 func (v *View[S]) String() string {
 	if !v.Valid {
 		return "ε"

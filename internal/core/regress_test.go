@@ -151,10 +151,10 @@ func TestRegressionSeed139(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, runtime.NumCPU()} {
 		for _, segCap := range []int{1, 7, 256} {
-			got, ok := p.Check(workers, segCap)
+			got, ok := p.CheckFull(workers, segCap)
 			if !ok {
 				t.Fatalf("seed 139 workers=%d segcap=%d:\n got:    %v\n oracle: %v",
-					workers, segCap, got, p.Oracle)
+					workers, segCap, got.Consumed, p.Oracle)
 			}
 		}
 	}
@@ -174,10 +174,10 @@ func TestRegressionQuickcheckSweep(t *testing.T) {
 		p := qcheck.Generate(1 + uint64(i))
 		for _, workers := range []int{1, 2} {
 			for _, segCap := range []int{1, 7} {
-				got, ok := p.Check(workers, segCap)
+				got, ok := p.CheckFull(workers, segCap)
 				if !ok {
 					t.Fatalf("seed %d workers=%d segcap=%d:\n got:    %v\n oracle: %v",
-						p.Seed, workers, segCap, got, p.Oracle)
+						p.Seed, workers, segCap, got.Consumed, p.Oracle)
 				}
 			}
 		}
@@ -204,10 +204,10 @@ func TestRegressionMultiQueueSweep(t *testing.T) {
 				p := qcheck.GenerateMulti(1+uint64(i), queues)
 				for _, workers := range []int{1, 2} {
 					for _, segCap := range []int{1, 7} {
-						got, ok := p.Check(workers, segCap)
+						got, ok := p.CheckFull(workers, segCap)
 						if !ok {
 							t.Fatalf("seed %d queues=%d workers=%d segcap=%d:\n got:    %v\n oracle: %v",
-								p.Seed, queues, workers, segCap, got, p.Oracle)
+								p.Seed, queues, workers, segCap, got.Consumed, p.Oracle)
 						}
 					}
 				}

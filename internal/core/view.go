@@ -11,28 +11,16 @@ import "repro/internal/core/hyper"
 type view[T any] = hyper.View[*segment[T]]
 
 // qviewOps is the queue's Ops instantiation, used by the queue's
-// engine and the free reduce below.
+// engine.
 type qviewOps[T any] = hyper.PairOps[*segment[T]]
 
 // emptyView returns ε.
 func emptyView[T any]() view[T] { return view[T]{} }
 
-// localView returns the local view (s, s).
-func localView[T any](s *segment[T]) view[T] { return hyper.Local(s) }
-
 // split implements split((s,s)) = ((s, pNL), (pNL, s)) (§3.3); see
 // hyper.Split.
 func split[T any](s *segment[T], pairID uint64) (headOnly, tailOnly view[T]) {
 	return hyper.Split(s, pairID)
-}
-
-// reduce implements reduce((h1,t1),(h2,t2)) = ((h1,t2), ε) (§3.3); see
-// hyper.PairOps.Reduce. The queue's structural folds go through its
-// engine (so effective merges are counted); this free function exists
-// for the view unit tests.
-func reduce[T any](v1, v2 *view[T]) {
-	var ops qviewOps[T]
-	ops.Reduce(v1, v2)
 }
 
 // viewHasData reports whether any segment of the view's chain holds a

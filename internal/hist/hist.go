@@ -24,8 +24,7 @@ const (
 // H is a log-linear histogram of non-negative int64 values (latencies in
 // nanoseconds, typically). The zero value is ready to use. H is not
 // synchronized: the harness records from the single egress consumer
-// task, matching the hyperqueue's single-consumer discipline; merge
-// per-consumer histograms with Merge if there are several.
+// task, matching the hyperqueue's single-consumer discipline.
 type H struct {
 	counts [numBuckets]uint64
 	n      uint64
@@ -82,9 +81,6 @@ func (h *H) Count() uint64 { return h.n }
 // Max reports the exact largest recorded value (0 when empty).
 func (h *H) Max() int64 { return h.max }
 
-// Min reports the exact smallest recorded value (0 when empty).
-func (h *H) Min() int64 { return h.min }
-
 // Mean reports the exact arithmetic mean (0 when empty).
 func (h *H) Mean() float64 {
 	if h.n == 0 {
@@ -126,24 +122,3 @@ func (h *H) Quantile(q float64) int64 {
 	}
 	return h.max
 }
-
-// Merge folds other into h.
-func (h *H) Merge(other *H) {
-	if other.n == 0 {
-		return
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	if h.n == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	h.n += other.n
-	h.sum += other.sum
-}
-
-// Reset clears the histogram.
-func (h *H) Reset() { *h = H{} }

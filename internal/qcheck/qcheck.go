@@ -321,12 +321,6 @@ type Outcome struct {
 	ChainSegments uint64
 }
 
-// Execute runs the program and returns the per-task consumption map;
-// ExecuteFull additionally returns the reducer fold.
-func (p *Program) Execute(workers, segCap int) map[int][]int {
-	return p.ExecuteFull(workers, segCap).Consumed
-}
-
 // ExecuteFull runs the program on a fresh runtime with the given worker
 // count and segment capacity, returning what each
 // task actually consumed and what the program's reducer folded. The
@@ -498,14 +492,6 @@ func (p *Program) exec(f *swan.Frame, segCap int) Outcome {
 		}
 	}
 	return out
-}
-
-// Check executes the program and compares against the oracles (both the
-// per-task consumption map and the reducer fold). It returns the
-// consumed map and whether everything matched.
-func (p *Program) Check(workers, segCap int) (map[int][]int, bool) {
-	out, ok := p.CheckFull(workers, segCap)
-	return out.Consumed, ok
 }
 
 // CheckFull executes the program and compares the full Outcome against

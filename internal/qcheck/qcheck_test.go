@@ -81,12 +81,12 @@ func TestCheckCanFail(t *testing.T) {
 	vals := p.Oracle[victim]
 	right := slices.Clone(vals)
 	vals[len(vals)-1] += 1000
-	if _, ok := p.Check(1, 3); ok {
-		t.Fatalf("seed %d: Check passed against a corrupted oracle (task %d: %v, really %v)", p.Seed, victim, vals, right)
+	if _, ok := p.CheckFull(1, 3); ok {
+		t.Fatalf("seed %d: CheckFull passed against a corrupted oracle (task %d: %v, really %v)", p.Seed, victim, vals, right)
 	}
 	p.Oracle[victim] = right
-	if _, ok := p.Check(1, 3); !ok {
-		t.Fatalf("seed %d: Check failed after the oracle was restored", p.Seed)
+	if _, ok := p.CheckFull(1, 3); !ok {
+		t.Fatalf("seed %d: CheckFull failed after the oracle was restored", p.Seed)
 	}
 
 	m := GenerateMulti(1, 2)

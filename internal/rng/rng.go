@@ -44,11 +44,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniformly distributed float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -64,29 +59,6 @@ func (r *RNG) NormFloat64() float64 {
 		s += r.Float64()
 	}
 	return s - 6.0
-}
-
-// Bytes fills b with pseudo-random bytes.
-func (r *RNG) Bytes(b []byte) {
-	i := 0
-	for ; i+8 <= len(b); i += 8 {
-		v := r.Uint64()
-		b[i] = byte(v)
-		b[i+1] = byte(v >> 8)
-		b[i+2] = byte(v >> 16)
-		b[i+3] = byte(v >> 24)
-		b[i+4] = byte(v >> 32)
-		b[i+5] = byte(v >> 40)
-		b[i+6] = byte(v >> 48)
-		b[i+7] = byte(v >> 56)
-	}
-	if i < len(b) {
-		v := r.Uint64()
-		for ; i < len(b); i++ {
-			b[i] = byte(v)
-			v >>= 8
-		}
-	}
 }
 
 // Perm returns a pseudo-random permutation of [0, n).

@@ -98,32 +98,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestBytesDeterministic(t *testing.T) {
-	a := make([]byte, 37) // deliberately not a multiple of 8
-	b := make([]byte, 37)
-	New(5).Bytes(a)
-	New(5).Bytes(b)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("byte %d differs", i)
-		}
-	}
-}
-
-func TestBytesCoversTail(t *testing.T) {
-	b := make([]byte, 15)
-	New(6).Bytes(b)
-	zero := 0
-	for _, v := range b {
-		if v == 0 {
-			zero++
-		}
-	}
-	if zero == len(b) {
-		t.Fatal("Bytes left buffer all-zero")
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(8)
 	for _, n := range []int{0, 1, 2, 10, 100} {

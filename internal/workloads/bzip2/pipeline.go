@@ -102,33 +102,11 @@ func RunObjects(rt *swan.Runtime, data []byte, blockSize int) []byte {
 // queue's push privilege so block order is restored by the reduction
 // properties.
 func RunHyperqueue(rt *swan.Runtime, data []byte, blockSize, segCap int) []byte {
-	return runHyperqueue(rt, data, blockSize, segCap, 0)
-}
-
-// RunHyperqueueBounded is RunHyperqueue with a bounded block queue: the
-// splitter stage is a single in-order producer, so swan.Bounded safely
-// caps how far it can run ahead of the dispatcher — the flow-control
-// alternative to the §5.4 loop-split for bounding memory. The output
-// queue stays unbounded (its producers are the concurrently spawned
-// compression tasks, which complete out of serial order) but is Named,
-// so both stages appear in the runtime's queue metrics.
-func RunHyperqueueBounded(rt *swan.Runtime, data []byte, blockSize, segCap, bound int) []byte {
-	if bound < 1 {
-		bound = 64
-	}
-	return runHyperqueue(rt, data, blockSize, segCap, bound)
-}
-
-func runHyperqueue(rt *swan.Runtime, data []byte, blockSize, segCap, bound int) []byte {
-	q1opts := []swan.QueueOption{swan.Named("bzip2.blocks")}
-	if bound > 0 {
-		q1opts = append(q1opts, swan.Bounded(bound))
-	}
 	var out []byte
 	rt.Run(func(f *swan.Frame) {
 		q2 := swan.NewQueueWithCapacity[[]byte](f, segCap, swan.Named("bzip2.compressed"))
 		f.Spawn(func(s12 *swan.Frame) {
-			q1 := swan.NewQueueWithCapacity[[]byte](s12, segCap, q1opts...)
+			q1 := swan.NewQueueWithCapacity[[]byte](s12, segCap, swan.Named("bzip2.blocks"))
 			s12.Spawn(func(c *swan.Frame) {
 				pw := q1.BindPush(c)
 				pw.PushSlice(SplitBlocks(data, blockSize))

@@ -44,7 +44,10 @@ func dropIdleCompressors() {
 // after small, text after noise.
 func TestCompressMatchesFreshWriter(t *testing.T) {
 	noise := make([]byte, 16<<10)
-	rng.New(9).Bytes(noise)
+	r := rng.New(9)
+	for i := range noise {
+		noise[i] = byte(r.Uint64())
+	}
 	inputs := map[string][]byte{
 		"empty":                 {},
 		"1 byte":                {'x'},

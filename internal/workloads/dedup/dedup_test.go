@@ -324,50 +324,3 @@ func TestGenerateInputProperties(t *testing.T) {
 			len(resA.Stream), len(resB.Stream))
 	}
 }
-
-func TestRestoreHyperqueue(t *testing.T) {
-	data := testData(t)
-	rt := swan.New(8)
-	for name, res := range map[string]Result{
-		"serial-stream":     RunSerial(data, smallOpts()),
-		"hyperqueue-stream": RunHyperqueue(rt, data, smallOpts(), 32),
-		"pthreads-stream":   RunPthreads(data, smallOpts(), 4, 16),
-	} {
-		got, err := RestoreHyperqueue(rt, res.Stream, 16)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("%s: restore differs from input", name)
-		}
-	}
-}
-
-func TestRestoreHyperqueueMatchesReassemble(t *testing.T) {
-	data := testData(t)
-	res := RunSerial(data, smallOpts())
-	serialOut, err := Reassemble(res.Stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parOut, err := RestoreHyperqueue(swan.New(8), res.Stream, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serialOut, parOut) {
-		t.Fatal("parallel restore differs from serial reassembly")
-	}
-}
-
-func TestRestoreHyperqueueCorrupt(t *testing.T) {
-	rt := swan.New(4)
-	if _, err := RestoreHyperqueue(rt, []byte{9, 9, 9}, 4); err == nil {
-		t.Fatal("malformed stream accepted")
-	}
-	data := testData(t)[:64*1024]
-	res := RunSerial(data, smallOpts())
-	res.Stream[len(res.Stream)/3] ^= 0xff
-	if got, err := RestoreHyperqueue(rt, res.Stream, 4); err == nil && bytes.Equal(got, data) {
-		t.Fatal("silently restored corrupted stream")
-	}
-}
